@@ -3,14 +3,12 @@
 // simulator together behind a small API used by the command-line tools, the
 // examples, and the experiment subsystem (internal/experiments).
 //
-// The typical flow is:
+// The typical flow generates a benchmark (or builds a custom program with
+// the program package) and simulates it under one configuration:
 //
-//	run, err := core.Simulate("gzip", core.NoSQDelay, core.Options{})
+//	prog, err := workload.Generate("gzip", workload.Options{})
+//	run, err := core.SimulateProgram(prog, core.ConfigFor(core.NoSQDelay, 128))
 //	fmt.Println(run.IPC())
-//
-// or, for a custom program built with the program package:
-//
-//	run, err := core.SimulateProgram(prog, core.ConfigFor(core.Baseline, 128))
 package core
 
 import (
@@ -101,34 +99,11 @@ func ConfigFor(kind ConfigKind, windowSize int) pipeline.Config {
 	return cfg
 }
 
-// Options controls a simulation run.
-type Options struct {
-	// WindowSize is the instruction window (ROB) size; 0 means the default
-	// 128-entry window.
-	WindowSize int
-	// Iterations is the synthetic workload length; 0 means the default.
-	Iterations int
-	// MaxInsts bounds the number of committed instructions (0 = unbounded).
-	MaxInsts uint64
-}
-
 // Benchmarks returns the names of all 47 benchmarks of Table 5.
 func Benchmarks() []string { return workload.Names() }
 
 // SelectedBenchmarks returns the subset plotted in Figures 3-5.
 func SelectedBenchmarks() []string { return workload.SelectedNames() }
-
-// Simulate generates the named synthetic benchmark and runs it under the
-// given configuration kind.
-func Simulate(benchmark string, kind ConfigKind, opts Options) (stats.Run, error) {
-	prog, err := workload.Generate(benchmark, workload.Options{Iterations: opts.Iterations})
-	if err != nil {
-		return stats.Run{}, err
-	}
-	cfg := ConfigFor(kind, opts.WindowSize)
-	cfg.MaxInsts = opts.MaxInsts
-	return SimulateProgram(prog, cfg)
-}
 
 // SimulateProgram runs an arbitrary program under an explicit machine
 // configuration.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/program"
+	"repro/internal/workload"
 )
 
 func TestKindStringsAndParse(t *testing.T) {
@@ -36,10 +37,19 @@ func TestConfigForWindow(t *testing.T) {
 	}
 }
 
-func TestSimulateBenchmark(t *testing.T) {
-	run, err := Simulate("gsm.e", NoSQDelay, Options{Iterations: 20})
+func generate(t *testing.T, name string, iters int) *program.Program {
+	t.Helper()
+	prog, err := workload.Generate(name, workload.Options{Iterations: iters})
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatal(err)
+	}
+	return prog
+}
+
+func TestSimulateBenchmark(t *testing.T) {
+	run, err := SimulateProgram(generate(t, "gsm.e", 20), ConfigFor(NoSQDelay, 0))
+	if err != nil {
+		t.Fatalf("SimulateProgram: %v", err)
 	}
 	if run.Committed == 0 || run.Cycles == 0 {
 		t.Errorf("empty run: %+v", run)
@@ -49,16 +59,12 @@ func TestSimulateBenchmark(t *testing.T) {
 	}
 }
 
-func TestSimulateUnknownBenchmark(t *testing.T) {
-	if _, err := Simulate("nope", Baseline, Options{}); err == nil {
-		t.Error("unknown benchmark accepted")
-	}
-}
-
 func TestSimulateMaxInsts(t *testing.T) {
-	run, err := Simulate("gzip", Baseline, Options{Iterations: 200, MaxInsts: 500})
+	cfg := ConfigFor(Baseline, 0)
+	cfg.MaxInsts = 500
+	run, err := SimulateProgram(generate(t, "gzip", 200), cfg)
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatalf("SimulateProgram: %v", err)
 	}
 	if run.Committed != 500 {
 		t.Errorf("committed %d, want 500", run.Committed)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/program"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -34,7 +33,7 @@ func TestPlanGroupsByBenchmarkAndGeometry(t *testing.T) {
 		{index: 5, benchmark: "a", cfg: cfg256},
 		{index: 8, benchmark: "b", cfg: cfg128},
 	}
-	got := groupShape(planGroups(pending, false))
+	got := groupShape(planGroups(pending))
 	// Same benchmark + same ROB size group together even when non-adjacent
 	// (sorted config keys interleave windows) or when sharding left index
 	// gaps; different benchmarks and geometries never mix.
@@ -49,66 +48,39 @@ func TestPlanGroupsCapsWidth(t *testing.T) {
 	for i := 0; i < batchGroupCap+3; i++ {
 		pending = append(pending, sweepJob{index: i, benchmark: "a", cfg: pipeline.Config{ROBSize: 128}})
 	}
-	groups := planGroups(pending, false)
+	groups := planGroups(pending)
 	if len(groups) != 2 || len(groups[0].jobs) != batchGroupCap || len(groups[1].jobs) != 3 {
 		t.Errorf("groups = %v, want one full group of %d plus the remainder", groupShape(groups), batchGroupCap)
 	}
 }
 
-func TestPlanGroupsNoBatchIsAllSingletons(t *testing.T) {
-	pending := []sweepJob{
-		{index: 0, benchmark: "a", cfg: pipeline.Config{ROBSize: 128}},
-		{index: 1, benchmark: "a", cfg: pipeline.Config{ROBSize: 128}},
-		{index: 2, benchmark: "a", cfg: pipeline.Config{ROBSize: 128}},
-	}
-	groups := planGroups(pending, true)
-	if len(groups) != len(pending) {
-		t.Fatalf("noBatch planned %d groups, want %d singletons", len(groups), len(pending))
-	}
-	for i, g := range groups {
-		if len(g.jobs) != 1 || g.jobs[i%1].index != i {
-			t.Errorf("group %d = %v, want the single job %d", i, groupShape(groups[i:i+1]), i)
-		}
-	}
-}
-
-// TestSweepBatchBitIdenticalToScalar is the in-repo analogue of CI's
-// bit-identity job: the same sweep run config-parallel and forced-scalar must
-// render byte-for-byte identically in every report format.
+// TestSweepBatchBitIdenticalToScalar: every pair of a sweep simulated in
+// config-parallel batches must measure exactly what a one-configuration
+// simulation of the same program (core.SimulateProgram) measures.
 func TestSweepBatchBitIdenticalToScalar(t *testing.T) {
-	run := func(noBatch bool) *Report {
-		rep, err := Sweep(context.Background(), Options{
-			Iterations: 25,
-			Benchmarks: []string{"gzip", "applu"},
-			Configs: []string{core.Baseline.String(), core.NoSQDelay.String(),
-				core.NoSQNoDelay.String()},
-			Windows:     []int{128},
-			Parallelism: 4,
-			NoBatch:     noBatch,
-		})
+	kinds := []core.ConfigKind{core.Baseline, core.NoSQDelay, core.NoSQNoDelay}
+	benchmarks := []string{"gzip", "applu"}
+	runs, sum, err := runSweep(context.Background(), benchmarks, kindConfigs(kinds, 0),
+		Options{Iterations: 25, Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.BatchedPairs != len(benchmarks)*len(kinds) || sum.BatchGroups != len(benchmarks) {
+		t.Fatalf("sweep did not batch every benchmark's configurations: %+v", sum)
+	}
+	for _, b := range benchmarks {
+		prog, err := workload.Generate(b, workload.Options{Iterations: 25})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep
-	}
-	batched, scalar := run(false), run(true)
-	if batched.Summary.BatchedPairs == 0 || batched.Summary.BatchGroups == 0 {
-		t.Fatalf("batched run planned no batch groups: %+v", batched.Summary)
-	}
-	if scalar.Summary.BatchedPairs != 0 || scalar.Summary.BatchGroups != 0 {
-		t.Fatalf("NoBatch run still planned batches: %+v", scalar.Summary)
-	}
-	for _, format := range stats.Formats() {
-		b, err := batched.Render(format)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := scalar.Render(format)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b != s {
-			t.Errorf("%s rendering differs between batched and scalar runs:\nbatched:\n%s\nscalar:\n%s", format, b, s)
+		for _, k := range kinds {
+			solo, err := core.SimulateProgram(prog, core.ConfigFor(k, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := runs[b][k.String()]; got != solo {
+				t.Errorf("%s/%s: batched run differs from a solo simulation:\nbatched: %+v\nsolo:    %+v", b, k, got, solo)
+			}
 		}
 	}
 }
@@ -158,10 +130,9 @@ func TestSweepSliceSplitsBatchGroup(t *testing.T) {
 	}
 }
 
-// TestSweepBatchFallsBackOnBadGroup: a group whose batch cannot be
-// constructed must still produce per-pair results via the scalar fallback
-// rather than failing the pairs.
-func TestRunGroupScalarFallback(t *testing.T) {
+// TestRunGroupInvalidConfigFailsAlone: a pair whose configuration fails
+// validation fails with its own error, and the rest of its group still runs.
+func TestRunGroupInvalidConfigFailsAlone(t *testing.T) {
 	prog, err := workload.Generate("gzip", workload.Options{Iterations: 25})
 	if err != nil {
 		t.Fatal(err)
@@ -179,9 +150,9 @@ func TestRunGroupScalarFallback(t *testing.T) {
 		t.Fatalf("got %d results, want 2", len(results))
 	}
 	if results[0].err != nil || results[0].run.Committed == 0 {
-		t.Errorf("good pair: err=%v run=%+v, want a successful scalar-fallback run", results[0].err, results[0].run)
+		t.Errorf("good pair: err=%v run=%+v, want a successful run", results[0].err, results[0].run)
 	}
-	if results[1].err == nil {
-		t.Error("bad pair should report its construction error")
+	if want := bad.Validate(); results[1].err == nil || results[1].err.Error() != want.Error() {
+		t.Errorf("bad pair error = %v, want its own validation error %v", results[1].err, want)
 	}
 }

@@ -21,12 +21,13 @@ import (
 	"repro/internal/workload"
 )
 
-// traceCache hands out each benchmark's recorded dynamic instruction trace.
-// The functional execution of a benchmark is identical under every machine
-// configuration, so a sweep records it once and shares it read-only across
-// all concurrent simulations of that benchmark. Entries are reference-counted
-// by pending job, so a long sweep holds only the traces it is actively
-// simulating instead of one per benchmark.
+// traceCache hands out each benchmark's recorded dynamic instruction trace
+// and its pre-decoded TraceMeta. The functional execution of a benchmark is
+// identical under every machine configuration, so a sweep records and
+// pre-decodes it once and shares both read-only across all concurrent
+// simulations of that benchmark. Entries are reference-counted by pending
+// job, so a long sweep holds only the traces it is actively simulating
+// instead of one per benchmark.
 type traceCache struct {
 	mu      sync.Mutex
 	entries map[string]*traceEntry
@@ -35,15 +36,10 @@ type traceCache struct {
 
 type traceEntry struct {
 	once   sync.Once
-	record func()
+	record func() (*emu.Trace, error)
 	trace  *emu.Trace
+	meta   *pipeline.TraceMeta
 	err    error
-	// The pre-decoded TraceMeta is cached alongside the trace: it is pure
-	// configuration-independent preprocessing, so every config-parallel batch
-	// of the benchmark shares one pre-decode exactly as it shares one trace.
-	metaOnce sync.Once
-	meta     *pipeline.TraceMeta
-	metaErr  error
 }
 
 func newTraceCache(progs map[string]*program.Program, loaders map[string]func() (*emu.Trace, error), pending []sweepJob) *traceCache {
@@ -53,22 +49,17 @@ func newTraceCache(progs map[string]*program.Program, loaders map[string]func() 
 	}
 	for b := range progs {
 		prog := progs[b]
-		e := &traceEntry{}
 		// The record closure runs inside once.Do on first use, so workers
 		// that share a benchmark block until its trace exists and record it
 		// exactly once.
-		e.record = func() { e.trace, e.err = emu.RecordTrace(prog, 0) }
-		c.entries[b] = e
+		c.entries[b] = &traceEntry{record: func() (*emu.Trace, error) { return emu.RecordTrace(prog, 0) }}
 	}
 	// Trace-backed benchmarks (the trace experiment) have no program: their
 	// shared trace comes from decoding a recorded file, under the same
 	// once.Do so concurrent configurations of one trace decode it exactly
 	// once.
 	for b := range loaders {
-		load := loaders[b]
-		e := &traceEntry{}
-		e.record = func() { e.trace, e.err = load() }
-		c.entries[b] = e
+		c.entries[b] = &traceEntry{record: loaders[b]}
 	}
 	for _, j := range pending {
 		c.left[j.benchmark]++
@@ -76,33 +67,21 @@ func newTraceCache(progs map[string]*program.Program, loaders map[string]func() 
 	return c
 }
 
-// get returns the benchmark's shared trace, recording it on first use.
-func (c *traceCache) get(benchmark string) (*emu.Trace, error) {
+// get returns the benchmark's shared trace and TraceMeta, recording and
+// pre-decoding them on first use.
+func (c *traceCache) get(benchmark string) (*emu.Trace, *pipeline.TraceMeta, error) {
 	c.mu.Lock()
 	e := c.entries[benchmark]
 	c.mu.Unlock()
 	if e == nil {
-		return nil, fmt.Errorf("experiments: no trace entry for benchmark %q", benchmark)
+		return nil, nil, fmt.Errorf("experiments: no trace entry for benchmark %q", benchmark)
 	}
-	e.once.Do(e.record)
-	return e.trace, e.err
-}
-
-// getMeta returns the benchmark's shared TraceMeta, pre-decoding it on first
-// use (which records the trace first if needed).
-func (c *traceCache) getMeta(benchmark string) (*pipeline.TraceMeta, error) {
-	c.mu.Lock()
-	e := c.entries[benchmark]
-	c.mu.Unlock()
-	if e == nil {
-		return nil, fmt.Errorf("experiments: no trace entry for benchmark %q", benchmark)
-	}
-	e.once.Do(e.record)
-	if e.err != nil {
-		return nil, e.err
-	}
-	e.metaOnce.Do(func() { e.meta, e.metaErr = pipeline.NewTraceMeta(e.trace) })
-	return e.meta, e.metaErr
+	e.once.Do(func() {
+		if e.trace, e.err = e.record(); e.err == nil {
+			e.meta, e.err = pipeline.NewTraceMeta(e.trace)
+		}
+	})
+	return e.trace, e.meta, e.err
 }
 
 // release notes that one of the benchmark's jobs finished, dropping the
@@ -195,10 +174,9 @@ type Summary struct {
 	// because shard selection left them without a full configuration set.
 	Incomplete int
 	// BatchGroups and BatchedPairs count config-parallel execution as
-	// planned: groups of width > 1 and the pairs they cover. Zero when
-	// batching is disabled (Options.NoBatch / NOSQ_NO_BATCH) or every group
-	// was a singleton. They describe only how pairs were simulated, never
-	// what was measured, so they appear in no report rendering.
+	// planned: groups of width > 1 and the pairs they cover. Zero when every
+	// group was a singleton. They describe only how pairs were simulated,
+	// never what was measured, so they appear in no report rendering.
 	BatchGroups  int
 	BatchedPairs int
 }
@@ -261,8 +239,8 @@ type ProgressSink interface {
 // implements it receives each locally executed pair's wall-clock simulation
 // time. Config-parallel batching makes exact per-pair time unobservable —
 // members of one batch simulate interleaved — so the engine times the whole
-// execution group and attributes an equal share to each member; scalar
-// singletons get their true time. Implementations may be called concurrently
+// execution group and attributes an equal share to each member; singleton
+// groups get their true time. Implementations may be called concurrently
 // from worker goroutines and should be quick. The interface is type-asserted
 // at runtime, so existing ProgressSink implementations keep working unchanged.
 type PairTimer interface {
@@ -402,9 +380,8 @@ func (s *checkpointFileStore) Close() error {
 // generating each benchmark's program once. Locally executed pairs of the
 // same benchmark and window geometry run config-parallel — one batch
 // simulation over the benchmark's shared trace (see pipeline.Batch and
-// planGroups) — unless Options.NoBatch or NOSQ_NO_BATCH forces the scalar
-// path; either way every pair's measurements are bit-identical, so grouping
-// is invisible in every output.
+// planGroups); a pair's measurements do not depend on its group, so
+// grouping is invisible in every output.
 //
 // The job list is deterministic — benchmarks in the given order, configuration
 // keys sorted — which makes two things possible. First, sharding: with
@@ -591,11 +568,10 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 
 	// Partition the pending pairs into execution groups: same-benchmark,
 	// same-geometry pairs run config-parallel as one batch over the shared
-	// trace; singletons (and everything, under NoBatch) take the scalar path.
-	// Grouping affects only how pairs are simulated — results, checkpoint
-	// entries and progress events stay per-pair, so reports are byte-identical
-	// to an ungrouped run.
-	groups := planGroups(pending, opts.batchDisabled())
+	// trace. Grouping affects only how pairs are simulated — results,
+	// checkpoint entries and progress events stay per-pair, so reports are
+	// byte-identical to an ungrouped run.
+	groups := planGroups(pending)
 	for _, g := range groups {
 		if len(g.jobs) > 1 {
 			sum.BatchGroups++

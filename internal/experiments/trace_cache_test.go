@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/emu"
 	"repro/internal/program"
 	"repro/internal/workload"
 )
@@ -33,7 +34,7 @@ func TestTraceCacheConcurrentGetRelease(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			defer c.release("gzip")
-			tr, err := c.get("gzip")
+			tr, _, err := c.get("gzip")
 			if err != nil {
 				t.Errorf("get: %v", err)
 				return
@@ -68,12 +69,10 @@ func TestTraceCacheRecordErrorShared(t *testing.T) {
 		entries: make(map[string]*traceEntry),
 		left:    map[string]int{"broken": jobs},
 	}
-	e := &traceEntry{}
-	e.record = func() {
+	c.entries["broken"] = &traceEntry{record: func() (*emu.Trace, error) {
 		calls++ // safe: once.Do serializes the recording
-		e.err = recordErr
-	}
-	c.entries["broken"] = e
+		return nil, recordErr
+	}}
 
 	var wg sync.WaitGroup
 	for i := 0; i < jobs; i++ {
@@ -81,12 +80,12 @@ func TestTraceCacheRecordErrorShared(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer c.release("broken")
-			tr, err := c.get("broken")
+			tr, meta, err := c.get("broken")
 			if !errors.Is(err, recordErr) {
 				t.Errorf("get error = %v, want the recording failure", err)
 			}
-			if tr != nil {
-				t.Error("got a trace alongside the error")
+			if tr != nil || meta != nil {
+				t.Error("got a trace or meta alongside the error")
 			}
 		}()
 	}
@@ -101,10 +100,9 @@ func TestTraceCacheRecordErrorShared(t *testing.T) {
 	}
 }
 
-// TestTraceCacheConcurrentMetaSharing drives getMeta the way concurrent
-// config-parallel batch groups of one benchmark do: every group must see the
-// same pre-decoded TraceMeta instance (built exactly once), interleaved
-// arbitrarily with plain get calls (run with -race in CI).
+// TestTraceCacheConcurrentMetaSharing drives get the way concurrent batch
+// groups of one benchmark do: every group must see the same pre-decoded
+// TraceMeta instance, built exactly once (run with -race in CI).
 func TestTraceCacheConcurrentMetaSharing(t *testing.T) {
 	prog, err := workload.Generate("gzip", workload.Options{Iterations: 10})
 	if err != nil {
@@ -124,15 +122,9 @@ func TestTraceCacheConcurrentMetaSharing(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			defer c.release("gzip")
-			if i%2 == 0 {
-				if _, err := c.get("gzip"); err != nil {
-					t.Errorf("get: %v", err)
-					return
-				}
-			}
-			m, err := c.getMeta("gzip")
+			_, m, err := c.get("gzip")
 			if err != nil {
-				t.Errorf("getMeta: %v", err)
+				t.Errorf("get: %v", err)
 				return
 			}
 			metas[i] = m
@@ -152,19 +144,16 @@ func TestTraceCacheConcurrentMetaSharing(t *testing.T) {
 	}
 }
 
-// TestTraceCacheMetaPropagatesRecordError: when trace recording fails,
-// getMeta must surface that error rather than pre-decoding a nil trace.
+// TestTraceCacheMetaPropagatesRecordError: when trace recording fails, get
+// must surface that error rather than pre-decoding a nil trace.
 func TestTraceCacheMetaPropagatesRecordError(t *testing.T) {
 	recordErr := errors.New("synthetic trace-recording failure")
 	c := &traceCache{
-		entries: make(map[string]*traceEntry),
+		entries: map[string]*traceEntry{"broken": {record: func() (*emu.Trace, error) { return nil, recordErr }}},
 		left:    map[string]int{"broken": 1},
 	}
-	e := &traceEntry{}
-	e.record = func() { e.err = recordErr }
-	c.entries["broken"] = e
-	if _, err := c.getMeta("broken"); !errors.Is(err, recordErr) {
-		t.Errorf("getMeta error = %v, want the recording failure", err)
+	if _, meta, err := c.get("broken"); !errors.Is(err, recordErr) || meta != nil {
+		t.Errorf("get = meta %v, error %v; want no meta and the recording failure", meta, err)
 	}
 }
 
@@ -172,7 +161,7 @@ func TestTraceCacheMetaPropagatesRecordError(t *testing.T) {
 // a panic — the sweep engine treats it as a failed job.
 func TestTraceCacheUnknownBenchmark(t *testing.T) {
 	c := newTraceCache(nil, nil, nil)
-	if _, err := c.get("nonesuch"); err == nil {
+	if _, _, err := c.get("nonesuch"); err == nil {
 		t.Fatal("get of unknown benchmark should error")
 	}
 }
@@ -187,12 +176,12 @@ func TestTraceCacheReleaseKeepsSharedEntryAlive(t *testing.T) {
 	}
 	pending := []sweepJob{{index: 0, benchmark: "gzip"}, {index: 1, benchmark: "gzip"}}
 	c := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending)
-	first, err := c.get("gzip")
+	first, _, err := c.get("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.release("gzip")
-	second, err := c.get("gzip")
+	second, _, err := c.get("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +189,7 @@ func TestTraceCacheReleaseKeepsSharedEntryAlive(t *testing.T) {
 		t.Fatal("trace dropped while a job was still pending")
 	}
 	c.release("gzip")
-	if _, err := c.get("gzip"); err == nil {
+	if _, _, err := c.get("gzip"); err == nil {
 		t.Fatal("trace still served after the last pending job released it")
 	}
 }

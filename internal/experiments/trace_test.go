@@ -88,16 +88,12 @@ func TestTraceExperimentMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := emu.RecordTrace(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, r := range rows {
 		k, err := core.KindByName(r.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := runScalar(live, core.ConfigFor(k, r.Window))
+		run, err := core.SimulateProgram(p, core.ConfigFor(k, r.Window))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,10 +8,10 @@
 // the document as an artifact, and fails the build when throughput regresses
 // by more than a threshold against the committed baseline (see Compare).
 //
-// Each benchmark's dynamic instruction trace is recorded once, outside the
-// timed region, and shared by the per-configuration simulations — the same
-// arrangement the experiment sweep engine uses — so the numbers measure
-// exactly the per-simulation hot path a sweep pays.
+// Each benchmark's dynamic instruction trace is recorded and pre-decoded
+// once, outside the timed region, and shared by the per-configuration
+// simulations — the same arrangement the experiment sweep engine uses — so
+// the numbers measure exactly the per-simulation hot path a sweep pays.
 package perf
 
 import (
@@ -98,11 +98,11 @@ type BatchEntry struct {
 	InstsPerSec  float64 `json:"insts_per_sec"`
 	AllocsPerRun uint64  `json:"allocs_per_run"`
 	BytesPerRun  uint64  `json:"bytes_per_run"`
-	// Speedup is the benchmark's fastest scalar pass over the full
-	// configuration grid (each repeat simulates every configuration once;
-	// the best total wall is kept) divided by the best batch wall: how much
-	// faster the batch simulates the same configuration set than
-	// one-at-a-time simulation.
+	// Speedup is the benchmark's fastest one-at-a-time pass over the full
+	// configuration grid (each repeat simulates every configuration once as
+	// a width-1 batch; the best total wall is kept) divided by the best
+	// batch wall. Both sides run the same scheduler, so it measures only
+	// what interleaving the configurations over one shared trace buys.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -147,7 +147,7 @@ type Result struct {
 	// BatchInstsPerSec is the geometric-mean batch throughput.
 	BatchInstsPerSec float64 `json:"batch_insts_per_sec,omitempty"`
 	// BatchSpeedup is the geometric-mean per-benchmark speedup of the batch
-	// over one-at-a-time scalar simulation of the same configuration set.
+	// over one-at-a-time simulation of the same configuration set.
 	BatchSpeedup float64 `json:"batch_speedup,omitempty"`
 }
 
@@ -181,16 +181,20 @@ func Run(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("perf: recording %s: %w", b, err)
 		}
+		meta, err := pipeline.NewTraceMeta(trace)
+		if err != nil {
+			return nil, fmt.Errorf("perf: pre-decoding %s: %w", b, err)
+		}
 		// gridWalls[r] accumulates repeat r's wall time across every kind:
-		// one full scalar pass over the configuration grid, as a sweep would
-		// run it one-at-a-time. The batch speedup denominator is the fastest
-		// such pass — a wall time some scalar run actually achieved — rather
-		// than the sum of per-kind minima, which combines lucky repeats of
-		// independent runs into a composite no single pass ever ran.
+		// one full pass over the configuration grid, one configuration at a
+		// time. The batch speedup denominator is the fastest such pass — a
+		// wall time some pass actually achieved — rather than the sum of
+		// per-kind minima, which combines lucky repeats of independent runs
+		// into a composite no single pass ever ran.
 		gridWalls := make([]int64, opts.Repeats)
 		for _, k := range opts.Kinds {
 			cfg := core.ConfigFor(k, opts.Window)
-			best, walls, err := measure(trace, cfg, k.String(), b, opts.Repeats)
+			best, walls, err := measure(trace, meta, cfg, k.String(), b, opts.Repeats)
 			if err != nil {
 				return nil, err
 			}
@@ -210,14 +214,7 @@ func Run(opts Options) (*Result, error) {
 		}
 		// Config-parallel measurement: all kinds of this benchmark in one
 		// batch over the shared trace, the way the sweep engine runs them.
-		// The TraceMeta pre-decode happens outside the timed region, like
-		// trace recording: both are per-benchmark work amortised across
-		// configurations.
 		if len(opts.Kinds) > 1 {
-			meta, err := pipeline.NewTraceMeta(trace)
-			if err != nil {
-				return nil, fmt.Errorf("perf: pre-decoding %s: %w", b, err)
-			}
 			cfgs := make([]pipeline.Config, len(opts.Kinds))
 			for i, k := range opts.Kinds {
 				cfgs[i] = core.ConfigFor(k, opts.Window)
@@ -265,13 +262,13 @@ func Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// measure times Repeats simulations of one configuration over a shared
-// trace, keeping the best throughput and the lowest allocation count (the
+// measure times Repeats simulations of one configuration (width-1 batches)
+// over a shared trace, keeping the best throughput and the lowest allocation count (the
 // steady-state floor; the first run pays one-time warm-up allocations such
 // as page-table and bucket growth). The returned walls slice carries every
 // repeat's wall time in order, so the caller can reconstruct per-repeat
 // grid passes.
-func measure(trace *emu.Trace, cfg pipeline.Config, kindName, benchmark string, repeats int) (Entry, []int64, error) {
+func measure(trace *emu.Trace, meta *pipeline.TraceMeta, cfg pipeline.Config, kindName, benchmark string, repeats int) (Entry, []int64, error) {
 	var best Entry
 	walls := make([]int64, 0, repeats)
 	for r := 0; r < repeats; r++ {
@@ -280,14 +277,15 @@ func measure(trace *emu.Trace, cfg pipeline.Config, kindName, benchmark string, 
 		// pays: hardware-structure construction plus the cycle loop.
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		sim, err := pipeline.NewFromTrace(trace, cfg)
+		sim, err := pipeline.NewBatch(trace, meta, []pipeline.Config{cfg})
 		if err != nil {
 			return Entry{}, nil, err
 		}
 		start := time.Now()
-		run, err := sim.Run()
+		runs, errs := sim.Run()
 		wall := time.Since(start)
 		runtime.ReadMemStats(&m1)
+		run, err := runs[0], errs[0]
 		if err != nil {
 			return Entry{}, nil, fmt.Errorf("perf: %s/%s: %w", benchmark, kindName, err)
 		}
@@ -333,7 +331,7 @@ func measureBatch(trace *emu.Trace, meta *pipeline.TraceMeta, cfgs []pipeline.Co
 	for r := 0; r < repeats; r++ {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		batch, err := pipeline.NewBatchWithMeta(trace, meta, cfgs)
+		batch, err := pipeline.NewBatch(trace, meta, cfgs)
 		if err != nil {
 			return BatchEntry{}, fmt.Errorf("perf: batching %s: %w", benchmark, err)
 		}

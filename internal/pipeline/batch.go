@@ -16,39 +16,27 @@ import (
 // that the per-turn trace region fits in cache.
 const batchQuantum = 16384
 
-// Batch runs several configurations of the same benchmark in one pass over a
-// shared recorded trace (config-parallel simulation).
+// Batch runs one or more configurations of the same benchmark over a shared
+// recorded trace. It is the only way a Simulator is built: pipeline.New is a
+// width-1 batch over a trace it records itself.
 //
 // All members replay the same read-only trace through per-member cursors and
 // share one TraceMeta (pre-decoded issue-port classes), so the
-// timing-independent front-end work is done once per benchmark. Member
-// simulators also run with the event-driven issue scheduler (sched.go)
-// enabled. Everything configuration-dependent — predictor, SVW, SMB, cache,
-// and flush state — stays per-member, and each member executes exactly the
-// same per-cycle step sequence as a solo Simulator, so every member's
-// statistics are bit-identical to pipeline.NewFromTrace + Run on the same
-// (trace, configuration) pair.
+// timing-independent front-end work is done once per benchmark. Everything
+// configuration-dependent — predictor, SVW, SMB, cache, and flush state —
+// stays per-member, and each member executes exactly the per-cycle step
+// sequence of a solo simulation, so a member's statistics do not depend on
+// what else is in its batch.
 type Batch struct {
 	sims []*Simulator
 }
 
-// NewBatch creates one simulator per configuration over the shared trace.
-// The configurations may differ arbitrarily (the grouping policy that decides
-// what is worth batching lives in internal/experiments); every member must
-// simply replay the same benchmark trace.
-func NewBatch(t *emu.Trace, cfgs []Config) (*Batch, error) {
-	meta, err := NewTraceMeta(t)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: pre-decoding trace %s: %w", t.Name(), err)
-	}
-	return NewBatchWithMeta(t, meta, cfgs)
-}
-
-// NewBatchWithMeta is NewBatch with a caller-supplied TraceMeta for t,
-// letting several batches over the same trace (different configuration
-// groups, or repeated measurement runs) share one pre-decode. The meta must
-// have been produced by NewTraceMeta on the same trace.
-func NewBatchWithMeta(t *emu.Trace, meta *TraceMeta, cfgs []Config) (*Batch, error) {
+// NewBatch creates one simulator per configuration over the shared trace t,
+// whose pre-decode meta must come from NewTraceMeta(t); several batches over
+// the same trace may share one meta. The configurations may differ
+// arbitrarily (the grouping policy that decides what is worth batching lives
+// in internal/experiments); every member simply replays the same trace.
+func NewBatch(t *emu.Trace, meta *TraceMeta, cfgs []Config) (*Batch, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("pipeline: empty batch")
 	}
@@ -58,13 +46,10 @@ func NewBatchWithMeta(t *emu.Trace, meta *TraceMeta, cfgs []Config) (*Batch, err
 	}
 	b := &Batch{sims: make([]*Simulator, 0, len(cfgs))}
 	for _, cfg := range cfgs {
-		s, err := newSimulator(t.Cursor(cfg.MaxInsts), t.Name(), cfg)
+		s, err := newSimulator(t, meta, cfg)
 		if err != nil {
 			return nil, err
 		}
-		s.fast = true
-		s.meta = meta
-		s.initFastSched()
 		b.sims = append(b.sims, s)
 	}
 	return b, nil
@@ -73,7 +58,7 @@ func NewBatchWithMeta(t *emu.Trace, meta *TraceMeta, cfgs []Config) (*Batch, err
 // Width returns the number of member simulations.
 func (b *Batch) Width() int { return len(b.sims) }
 
-// Run advances all members round-robin in cycle quanta until every member
+// Run advances all members round-robin in instruction quanta until every member
 // completes, and returns each member's statistics and error in configuration
 // order. A member that fails (cycle limit) reports its partial statistics
 // alongside its error, exactly like Simulator.Run; other members are
@@ -89,7 +74,7 @@ func (b *Batch) Run() ([]stats.Run, []error) {
 			if done[i] {
 				continue
 			}
-			finished, err := s.runQuantum(batchQuantum)
+			finished, err := s.runUntil(s.committed + batchQuantum)
 			if !finished {
 				continue
 			}
@@ -100,22 +85,4 @@ func (b *Batch) Run() ([]stats.Run, []error) {
 		}
 	}
 	return results, errs
-}
-
-// runQuantum advances the simulation until up to the given number of further
-// instructions have committed, reporting whether it finished (completed or
-// failed). The completion and cycle-limit behaviour is identical to Run.
-func (s *Simulator) runQuantum(insts uint64) (finished bool, err error) {
-	target := s.committed + insts
-	for !s.done() {
-		if s.cfg.MaxCycles > 0 && s.now >= s.cfg.MaxCycles {
-			return true, fmt.Errorf("%w after %d cycles (%d committed)", ErrCycleLimit, s.now, s.committed)
-		}
-		if s.committed >= target {
-			return false, nil
-		}
-		s.step()
-	}
-	s.res.Cycles = s.now
-	return true, nil
 }

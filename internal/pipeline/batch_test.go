@@ -6,48 +6,64 @@ import (
 	"testing"
 
 	"repro/internal/emu"
+	"repro/internal/program"
 	"repro/internal/workload"
 )
 
+// recordWithMeta records a program's trace and pre-decodes it.
+func recordWithMeta(tb testing.TB, prog *program.Program) (*emu.Trace, *TraceMeta) {
+	tb.Helper()
+	trace, err := emu.RecordTrace(prog, 0)
+	if err != nil {
+		tb.Fatalf("record %s: %v", prog.Name, err)
+	}
+	meta, err := NewTraceMeta(trace)
+	if err != nil {
+		tb.Fatalf("pre-decode %s: %v", prog.Name, err)
+	}
+	return trace, meta
+}
+
+// checkBatchMatchesSolo runs cfgs as one batch over the trace and each
+// configuration alone (a width-1 batch), and requires identical statistics.
+func checkBatchMatchesSolo(t *testing.T, trace *emu.Trace, meta *TraceMeta, cfgs []Config) {
+	t.Helper()
+	b, err := NewBatch(trace, meta, cfgs)
+	if err != nil {
+		t.Fatalf("NewBatch(%s): %v", trace.Name(), err)
+	}
+	results, errs := b.Run()
+	for i, cfg := range cfgs {
+		if errs[i] != nil {
+			t.Fatalf("%s/%s: batch run: %v", trace.Name(), cfg.Name, errs[i])
+		}
+		solo, err := NewBatch(trace, meta, []Config{cfg})
+		if err != nil {
+			t.Fatalf("NewBatch(%s/%s): %v", trace.Name(), cfg.Name, err)
+		}
+		want, werrs := solo.Run()
+		if werrs[0] != nil {
+			t.Fatalf("%s/%s: solo run: %v", trace.Name(), cfg.Name, werrs[0])
+		}
+		if !reflect.DeepEqual(results[i], want[0]) {
+			t.Errorf("%s/%s (member %d): batch result differs from a solo run\nbatch: %+v\nsolo:  %+v",
+				trace.Name(), cfg.Name, i, results[i], want[0])
+		}
+	}
+}
+
 // TestBatchBitIdenticalToScalar is the core config-parallel guarantee: a
-// Batch member's statistics must be bit-for-bit identical to a solo scalar
-// simulation (NewFromTrace + Run) of the same (trace, configuration) pair,
-// across every configuration kind. The batch path uses the event-driven
-// scheduler and the shared TraceMeta, so this exercises both against the
-// polling reference.
+// Batch member's statistics must be bit-for-bit identical to a solo
+// simulation of the same (trace, configuration) pair, across every
+// configuration kind, whatever else shares its batch.
 func TestBatchBitIdenticalToScalar(t *testing.T) {
 	for _, bench := range []string{"gs.d", "vortex", "wupwise", "gzip"} {
 		prog, err := workload.Generate(bench, workload.Options{Iterations: 40})
 		if err != nil {
 			t.Fatalf("generate %s: %v", bench, err)
 		}
-		trace, err := emu.RecordTrace(prog, 0)
-		if err != nil {
-			t.Fatalf("record %s: %v", bench, err)
-		}
-		cfgs := allConfigs()
-		b, err := NewBatch(trace, cfgs)
-		if err != nil {
-			t.Fatalf("NewBatch(%s): %v", bench, err)
-		}
-		results, errs := b.Run()
-		for i, cfg := range cfgs {
-			if errs[i] != nil {
-				t.Fatalf("%s/%s: batch run: %v", bench, cfg.Name, errs[i])
-			}
-			sim, err := NewFromTrace(trace, cfg)
-			if err != nil {
-				t.Fatalf("NewFromTrace(%s/%s): %v", bench, cfg.Name, err)
-			}
-			want, err := sim.Run()
-			if err != nil {
-				t.Fatalf("%s/%s: scalar run: %v", bench, cfg.Name, err)
-			}
-			if !reflect.DeepEqual(results[i], want) {
-				t.Errorf("%s/%s: batch result differs from scalar\nbatch:  %+v\nscalar: %+v",
-					bench, cfg.Name, results[i], want)
-			}
-		}
+		trace, meta := recordWithMeta(t, prog)
+		checkBatchMatchesSolo(t, trace, meta, allConfigs())
 	}
 }
 
@@ -66,32 +82,8 @@ func TestBatchBitIdenticalOnStressScenarios(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generate scenario %s: %v", sc.Name, err)
 		}
-		trace, err := emu.RecordTrace(prog, 0)
-		if err != nil {
-			t.Fatalf("record %s: %v", sc.Name, err)
-		}
-		b, err := NewBatch(trace, cfgs)
-		if err != nil {
-			t.Fatalf("NewBatch(%s): %v", sc.Name, err)
-		}
-		results, errs := b.Run()
-		for i, cfg := range cfgs {
-			if errs[i] != nil {
-				t.Fatalf("%s/%s: batch run: %v", sc.Name, cfg.Name, errs[i])
-			}
-			sim, err := NewFromTrace(trace, cfg)
-			if err != nil {
-				t.Fatalf("NewFromTrace: %v", err)
-			}
-			want, err := sim.Run()
-			if err != nil {
-				t.Fatalf("%s/%s: scalar run: %v", sc.Name, cfg.Name, err)
-			}
-			if !reflect.DeepEqual(results[i], want) {
-				t.Errorf("%s/%s: batch result differs from scalar\nbatch:  %+v\nscalar: %+v",
-					sc.Name, cfg.Name, results[i], want)
-			}
-		}
+		trace, meta := recordWithMeta(t, prog)
+		checkBatchMatchesSolo(t, trace, meta, cfgs)
 	}
 }
 
@@ -105,33 +97,44 @@ func TestBatchMixedGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	trace, err := emu.RecordTrace(prog, 0)
-	if err != nil {
-		t.Fatalf("record: %v", err)
-	}
+	trace, meta := recordWithMeta(t, prog)
 	small := NoSQConfig(true).WithWindow(64)
 	limited := BaselineConfig()
 	limited.MaxInsts = trace.Len() / 2
-	cfgs := []Config{NoSQConfig(true), small, limited}
-	b, err := NewBatch(trace, cfgs)
+	checkBatchMatchesSolo(t, trace, meta, []Config{NoSQConfig(true), small, limited})
+}
+
+// TestNewMatchesBatch: New, which records and pre-decodes the program
+// itself, must measure exactly what a batch over a separately recorded
+// trace measures — including under an instruction limit, which New applies
+// while recording.
+func TestNewMatchesBatch(t *testing.T) {
+	prog, err := workload.Generate("gzip", workload.Options{Iterations: 30})
 	if err != nil {
-		t.Fatalf("NewBatch: %v", err)
+		t.Fatalf("generate: %v", err)
 	}
-	results, errs := b.Run()
-	for i, cfg := range cfgs {
-		if errs[i] != nil {
-			t.Fatalf("%s: batch run: %v", cfg.Name, errs[i])
-		}
-		sim, err := NewFromTrace(trace, cfg)
+	trace, meta := recordWithMeta(t, prog)
+	limited := NoSQConfig(true)
+	limited.MaxInsts = trace.Len() / 3
+	for _, cfg := range []Config{BaselineConfig(), limited} {
+		sim, err := New(prog, cfg)
 		if err != nil {
-			t.Fatalf("NewFromTrace: %v", err)
+			t.Fatal(err)
 		}
-		want, err := sim.Run()
+		got, err := sim.Run()
 		if err != nil {
-			t.Fatalf("%s: scalar run: %v", cfg.Name, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(results[i], want) {
-			t.Errorf("member %d (%s): batch result differs from scalar", i, cfg.Name)
+		b, err := NewBatch(trace, meta, []Config{cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, errs := b.Run()
+		if errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+		if !reflect.DeepEqual(got, want[0]) {
+			t.Errorf("%s: New differs from a batch over the recorded trace\nNew:   %+v\nbatch: %+v", cfg.Name, got, want[0])
 		}
 	}
 }
@@ -139,7 +142,7 @@ func TestBatchMixedGeometry(t *testing.T) {
 // benchTraceAndConfigs records one trace (gzip by default; PIPELINE_BENCH
 // selects another workload for targeted profiling) and the full five-config
 // grid the perf harness batches, shared by the two benchmarks below.
-func benchTraceAndConfigs(b *testing.B) (*emu.Trace, []Config) {
+func benchTraceAndConfigs(b *testing.B) (*emu.Trace, *TraceMeta, []Config) {
 	b.Helper()
 	bench := os.Getenv("PIPELINE_BENCH")
 	if bench == "" {
@@ -149,65 +152,62 @@ func benchTraceAndConfigs(b *testing.B) (*emu.Trace, []Config) {
 	if err != nil {
 		b.Fatalf("generate: %v", err)
 	}
-	trace, err := emu.RecordTrace(prog, 0)
-	if err != nil {
-		b.Fatalf("record: %v", err)
-	}
-	return trace, allConfigs()
+	trace, meta := recordWithMeta(b, prog)
+	return trace, meta, allConfigs()
 }
 
-// BenchmarkBatchRun and BenchmarkScalarRun measure the same five-config
-// grid config-parallel and scalar; their ratio is the batch engine's win
-// on one benchmark (cmd/nosq-bench measures it across the fig2 subset).
-func BenchmarkBatchRun(b *testing.B) {
-	trace, cfgs := benchTraceAndConfigs(b)
-	meta, err := NewTraceMeta(trace)
+func runBatch(b *testing.B, trace *emu.Trace, meta *TraceMeta, cfgs []Config) {
+	bt, err := NewBatch(trace, meta, cfgs)
 	if err != nil {
 		b.Fatal(err)
 	}
+	_, errs := bt.Run()
+	for _, e := range errs {
+		if e != nil {
+			b.Fatal(e)
+		}
+	}
+}
+
+// BenchmarkBatchRun and BenchmarkScalarRun measure the same five-config
+// grid interleaved in one batch and one configuration at a time; their
+// ratio is what sharing the trace region buys on one benchmark
+// (cmd/nosq-bench measures it across the fig2 subset).
+func BenchmarkBatchRun(b *testing.B) {
+	trace, meta, cfgs := benchTraceAndConfigs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bt, err := NewBatchWithMeta(trace, meta, cfgs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, errs := bt.Run(); errs != nil {
-			for _, e := range errs {
-				if e != nil {
-					b.Fatal(e)
-				}
-			}
-		}
+		runBatch(b, trace, meta, cfgs)
 	}
 }
 
 func BenchmarkScalarRun(b *testing.B) {
-	trace, cfgs := benchTraceAndConfigs(b)
+	trace, meta, cfgs := benchTraceAndConfigs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range cfgs {
-			sim, err := NewFromTrace(trace, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sim.Run(); err != nil {
-				b.Fatal(err)
-			}
+			runBatch(b, trace, meta, []Config{cfg})
 		}
 	}
 }
 
-// TestBatchRejectsEmpty covers the degenerate constructor case.
+// TestBatchRejectsEmpty covers the degenerate constructor cases: no
+// configurations, and a meta that belongs to a different trace.
 func TestBatchRejectsEmpty(t *testing.T) {
 	prog, err := workload.Generate("gzip", workload.Options{Iterations: 5})
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	trace, err := emu.RecordTrace(prog, 0)
-	if err != nil {
-		t.Fatalf("record: %v", err)
-	}
-	if _, err := NewBatch(trace, nil); err == nil {
+	trace, meta := recordWithMeta(t, prog)
+	if _, err := NewBatch(trace, meta, nil); err == nil {
 		t.Fatal("NewBatch with no configurations: want error")
+	}
+	other, err := workload.Generate("gzip", workload.Options{Iterations: 6})
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	_, otherMeta := recordWithMeta(t, other)
+	if _, err := NewBatch(trace, otherMeta, allConfigs()); err == nil {
+		t.Fatal("NewBatch with another trace's meta: want error")
 	}
 }

@@ -5,39 +5,9 @@ import (
 	"slices"
 )
 
-// issue selects up to IssueWidth ready instructions per cycle, oldest first,
-// subject to per-class port limits, and begins their execution.
-func (s *Simulator) issue() {
-	// Per-class port budgets in a fixed array (indexed by portClass); a map
-	// here would allocate every cycle.
-	var ports [portNone + 1]int
-	ports[portSimple] = s.cfg.SimpleIntPorts
-	ports[portComplex] = s.cfg.ComplexPorts
-	ports[portBranch] = s.cfg.BranchPorts
-	ports[portLoad] = s.cfg.LoadPorts
-	ports[portStore] = s.cfg.StorePorts
-	issued := 0
-	// Select oldest-first over the scheduler's occupants; the IQ list is in
-	// seq order and holds exactly the renamed, un-issued IQ holders.
-	for in := s.iqHead; in != nil; {
-		if issued >= s.cfg.IssueWidth {
-			return
-		}
-		next := in.nextIQ
-		if ports[in.port] > 0 && s.ready(in) {
-			s.doIssue(in) // unlinks in from the IQ list
-			ports[in.port]--
-			issued++
-		}
-		in = next
-	}
-	if issued == 0 {
-		s.res.IdleIssueCycles++
-	}
-}
-
 // ready reports whether an instruction's register inputs and memory-
-// scheduling gates allow it to issue this cycle.
+// scheduling gates allow it to issue this cycle. The event-driven issue
+// stage (sched.go) uses it to re-verify candidates at wakeup and selection.
 func (s *Simulator) ready(in *inflight) bool {
 	switch {
 	case in.isLoad():
@@ -85,7 +55,6 @@ func (s *Simulator) doIssue(in *inflight) {
 	if in.holdsIQ {
 		s.iqUsed--
 		in.holdsIQ = false
-		s.iqRemove(in)
 	}
 	st := in.dyn.Static
 	switch {
@@ -157,8 +126,7 @@ func (s *Simulator) resolveLoadValue(in *inflight) {
 // and conventional stores through the pending-store list, so the pass costs
 // O(completions + in-flight stores) instead of O(window) per cycle. Events
 // are processed in seq order, and producers are always older than their
-// consumers, so the observable update order matches the window scan this
-// replaces.
+// consumers, so updates happen in the order of a window scan.
 func (s *Simulator) complete() {
 	bucket := &s.compBuckets[s.now&s.compMask]
 	if events := *bucket; len(events) > 0 {

@@ -38,10 +38,7 @@ func NewTraceMeta(t *emu.Trace) (*TraceMeta, error) {
 	}
 	cur := t.Cursor(0)
 	for seq := uint64(1); seq <= n; seq++ {
-		d, err := cur.Get(seq)
-		if err != nil {
-			return nil, err
-		}
+		d, _ := cur.Get(seq)
 		m.class[seq-1] = uint8(classify(d.Static))
 	}
 	return m, nil

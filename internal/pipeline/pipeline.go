@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/bpred"
 	"repro/internal/bypass"
@@ -16,23 +17,15 @@ import (
 	"repro/internal/svw"
 )
 
-// instSource supplies the dynamic instruction stream consumed by fetch:
-// either a live rewindable emulator stream (pipeline.New) or a shared
-// read-only recorded trace (pipeline.NewFromTrace).
-type instSource interface {
-	Get(seq uint64) (*emu.DynInst, error)
-	Release(seq uint64)
-}
-
-// Simulator is one instance of the timing model running one program under one
-// machine configuration.
+// Simulator is one instance of the timing model replaying one recorded
+// program trace under one machine configuration.
 type Simulator struct {
-	cfg    Config
-	stream instSource
-	// cursor is stream's concrete type when replaying a recorded trace,
-	// letting the per-instruction Get calls inline and the no-op Release
-	// calls disappear instead of going through the interface.
+	cfg Config
+	// cursor serves the dynamic instruction stream from the shared,
+	// read-only trace; meta holds the trace's pre-decoded issue-port
+	// classes.
 	cursor *emu.TraceCursor
+	meta   *TraceMeta
 
 	// Hardware structures.
 	bp    *bpred.Predictor
@@ -58,12 +51,6 @@ type Simulator struct {
 	// pool holds retired/squashed in-flight records for reuse, keeping the
 	// cycle loop free of steady-state allocation.
 	pool []*inflight
-
-	// iqHead/iqTail form the seq-ordered list of instructions holding issue-
-	// queue entries, so select scans only the scheduler's occupants instead of
-	// the whole window.
-	iqHead *inflight
-	iqTail *inflight
 
 	// compBuckets is a cycle-indexed ring of completion events for issued
 	// instructions; complete drains bucket now&compMask instead of scanning
@@ -103,12 +90,7 @@ type Simulator struct {
 	ssnInDCache     uint64
 	pendingDCWrites []pendingWrite
 
-	// Config-parallel fast path (batch.go / sched.go). fast enables the
-	// event-driven issue scheduler; meta, when non-nil, supplies pre-decoded
-	// per-instruction front-end metadata shared across the batch. Both are
-	// off on the scalar path, which stays the bit-identity reference.
-	fast       bool
-	meta       *TraceMeta
+	// Event-driven issue scheduler state (sched.go).
 	readyBits  []uint64 // ready bitmap, indexed by seq & seqMask
 	complBits  []uint64 // completed bitmap for window occupants, same indexing
 	seqMask    uint64   // window-ring capacity minus one (power of two)
@@ -126,29 +108,40 @@ type pendingWrite struct {
 	cycle uint64
 }
 
-// New creates a simulator for the given program and configuration. The
-// program is emulated on the fly; to share one functional execution across
-// several simulations, record it with emu.RecordTrace and use NewFromTrace.
+// New creates a simulator for the given program and configuration: it
+// records the program's dynamic stream (up to cfg.MaxInsts instructions),
+// pre-decodes it, and replays it as a width-1 Batch. To share one recording
+// across several configurations, record it with emu.RecordTrace and use
+// NewBatch.
 func New(p *program.Program, cfg Config) (*Simulator, error) {
-	e := emu.New(p)
-	return newSimulator(emu.NewStream(e, cfg.MaxInsts), p.Name, cfg)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	t, err := emu.RecordTrace(p, cfg.MaxInsts)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: recording %s: %w", p.Name, err)
+	}
+	meta, err := NewTraceMeta(t)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: pre-decoding trace %s: %w", t.Name(), err)
+	}
+	b, err := NewBatch(t, meta, []Config{cfg})
+	if err != nil {
+		return nil, err
+	}
+	return b.sims[0], nil
 }
 
-// NewFromTrace creates a simulator replaying a recorded dynamic instruction
-// trace. The trace is read-only and may be shared by any number of
-// concurrent simulators; each gets its own cursor. Results are bit-identical
-// to New on the same program.
-func NewFromTrace(t *emu.Trace, cfg Config) (*Simulator, error) {
-	return newSimulator(t.Cursor(cfg.MaxInsts), t.Name(), cfg)
-}
-
-func newSimulator(src instSource, benchmark string, cfg Config) (*Simulator, error) {
+// newSimulator creates one simulator replaying t (whose pre-decode is meta)
+// under cfg.
+func newSimulator(t *emu.Trace, meta *TraceMeta, cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Simulator{
 		cfg:      cfg,
-		stream:   src,
+		cursor:   t.Cursor(cfg.MaxInsts),
+		meta:     meta,
 		bp:       bpred.New(cfg.BPred),
 		ss:       storesets.New(cfg.StoreSets),
 		byp:      bypass.New(cfg.BypassPred),
@@ -161,9 +154,14 @@ func newSimulator(src instSource, benchmark string, cfg Config) (*Simulator, err
 		dtlb:     cache.NewTLB("dtlb", cfg.DTLBEntries, cfg.TLBAssoc),
 		fetchSeq: 1,
 	}
-	s.cursor, _ = src.(*emu.TraceCursor)
 	maxInFlight := cfg.ROBSize + 4*cfg.FetchWidth
 	s.window = newRing(maxInFlight)
+	// The scheduler's bitmaps are indexed by window-ring slot, so they are
+	// sized to the ring's (power-of-two) capacity.
+	capacity := len(s.window.buf)
+	s.readyBits = make([]uint64, (capacity+63)/64)
+	s.complBits = make([]uint64, (capacity+63)/64)
+	s.seqMask = uint64(capacity - 1)
 	s.backendQ = newRing(maxInFlight)
 	// The completion ring must cover the longest possible issue-to-complete
 	// distance: a load missing everywhere plus a page-table walk (with slack
@@ -176,7 +174,7 @@ func newSimulator(src instSource, benchmark string, cfg Config) (*Simulator, err
 	s.compBuckets = make([][]compEvent, comp)
 	s.compMask = uint64(comp - 1)
 	s.pendingStores = make([]*inflight, 0, cfg.SQSize)
-	s.res.Benchmark = benchmark
+	s.res.Benchmark = t.Name()
 	s.res.Config = cfg.Name
 	return s, nil
 }
@@ -204,42 +202,6 @@ func (s *Simulator) scheduleCompletion(in *inflight) {
 	}
 	idx := cycle & s.compMask
 	s.compBuckets[idx] = append(s.compBuckets[idx], compEvent{in: in, seq: in.seq, gen: in.gen})
-}
-
-// iqPush appends an instruction to the issue-queue list (rename is in order,
-// so the list stays seq-sorted). The list exists only for the scalar issue
-// scan; in batch mode the event-driven scheduler tracks occupants itself.
-func (s *Simulator) iqPush(in *inflight) {
-	if s.fast {
-		return
-	}
-	in.prevIQ = s.iqTail
-	in.nextIQ = nil
-	if s.iqTail != nil {
-		s.iqTail.nextIQ = in
-	} else {
-		s.iqHead = in
-	}
-	s.iqTail = in
-}
-
-// iqRemove unlinks an instruction from the issue-queue list (at issue or
-// squash).
-func (s *Simulator) iqRemove(in *inflight) {
-	if s.fast {
-		return
-	}
-	if in.prevIQ != nil {
-		in.prevIQ.nextIQ = in.nextIQ
-	} else {
-		s.iqHead = in.nextIQ
-	}
-	if in.nextIQ != nil {
-		in.nextIQ.prevIQ = in.prevIQ
-	} else {
-		s.iqTail = in.prevIQ
-	}
-	in.prevIQ, in.nextIQ = nil, nil
 }
 
 // newInflight takes a record from the pool (or allocates one when the pool
@@ -291,14 +253,25 @@ var ErrCycleLimit = errors.New("pipeline: cycle limit exceeded")
 // Run simulates until the program completes (or MaxInsts instructions commit)
 // and returns the accumulated statistics.
 func (s *Simulator) Run() (stats.Run, error) {
+	_, err := s.runUntil(math.MaxUint64)
+	return s.res, err
+}
+
+// runUntil advances the simulation until the committed-instruction count
+// reaches target, reporting whether it finished (completed or failed). On
+// the cycle limit it fails with the statistics accumulated so far.
+func (s *Simulator) runUntil(target uint64) (finished bool, err error) {
 	for !s.done() {
 		if s.cfg.MaxCycles > 0 && s.now >= s.cfg.MaxCycles {
-			return s.res, fmt.Errorf("%w after %d cycles (%d committed)", ErrCycleLimit, s.now, s.committed)
+			return true, fmt.Errorf("%w after %d cycles (%d committed)", ErrCycleLimit, s.now, s.committed)
+		}
+		if s.committed >= target {
+			return false, nil
 		}
 		s.step()
 	}
 	s.res.Cycles = s.now
-	return s.res, nil
+	return true, nil
 }
 
 func (s *Simulator) done() bool {
@@ -312,11 +285,7 @@ func (s *Simulator) step() {
 	s.retire()
 	s.commitEnter()
 	s.complete()
-	if s.fast {
-		s.issueFast()
-	} else {
-		s.issue()
-	}
+	s.issue()
 	s.rename()
 	s.fetch()
 	s.now++
@@ -352,27 +321,16 @@ func (s *Simulator) find(seq uint64) *inflight {
 }
 
 // producerDone reports whether the producer with the given sequence number
-// has produced its value (completed) or already left the window.
+// has produced its value (completed) or already left the window. The
+// completed bitmap answers in one load: consumers only ask about producers
+// older than themselves, so seq is either already retired (older than the
+// window) or a window occupant whose slot bit is authoritative.
 func (s *Simulator) producerDone(seq uint64) bool {
-	if seq == 0 {
+	if seq == 0 || s.window.len() == 0 || seq < s.window.front().seq {
 		return true
 	}
-	if s.fast {
-		// Batch mode: the completed bitmap answers in one load. Consumers only
-		// ask about producers older than themselves, so seq is either already
-		// retired (older than the window) or a window occupant whose slot bit
-		// is authoritative.
-		if s.window.len() == 0 || seq < s.window.front().seq {
-			return true
-		}
-		idx := seq & s.seqMask
-		return s.complBits[idx>>6]&(1<<(idx&63)) != 0
-	}
-	in := s.find(seq)
-	if in == nil {
-		return true
-	}
-	return in.completed
+	idx := seq & s.seqMask
+	return s.complBits[idx>>6]&(1<<(idx&63)) != 0
 }
 
 // renameableRegs returns the number of physical registers available for
@@ -499,7 +457,6 @@ func (s *Simulator) releaseResources(in *inflight) {
 	if in.holdsIQ {
 		s.iqUsed--
 		in.holdsIQ = false
-		s.iqRemove(in)
 	}
 	if in.holdsLQ {
 		s.lqUsed--

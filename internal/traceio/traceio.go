@@ -145,10 +145,7 @@ func Encode(w io.Writer, t *emu.Trace) (Summary, error) {
 	index := make(map[uint64]int)
 	var statics []*isa.Inst
 	for seq := uint64(1); seq <= t.Len(); seq++ {
-		d, err := cur.Get(seq)
-		if err != nil {
-			return Summary{}, err
-		}
+		d, _ := cur.Get(seq)
 		if prev, ok := index[d.Static.PC]; ok {
 			if *statics[prev] != *d.Static {
 				return Summary{}, fmt.Errorf("traceio: two distinct statics at pc %#x", d.Static.PC)
@@ -193,10 +190,7 @@ func Encode(w io.Writer, t *emu.Trace) (Summary, error) {
 	// static index + 1).
 	sum := Summary{Name: t.Name(), Statics: len(statics), Insts: t.Len()}
 	for seq := uint64(1); seq <= t.Len(); seq++ {
-		d, err := cur.Get(seq)
-		if err != nil {
-			return Summary{}, err
-		}
+		d, _ := cur.Get(seq)
 		in := d.Static
 		if err := uvarint(uint64(index[in.PC]) + 1); err != nil {
 			return Summary{}, err

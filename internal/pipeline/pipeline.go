@@ -171,13 +171,33 @@ func newSimulator(t *emu.Trace, meta *TraceMeta, cfg Config) (*Simulator, error)
 	for comp < maxLat+1 {
 		comp <<= 1
 	}
+	// Each bucket starts with room for one cycle's issue width, carved from
+	// one backing array, so warm-up does not grow every bucket separately.
 	s.compBuckets = make([][]compEvent, comp)
+	events := make([]compEvent, comp*cfg.IssueWidth)
+	for i := range s.compBuckets {
+		s.compBuckets[i] = events[i*cfg.IssueWidth : i*cfg.IssueWidth : (i+1)*cfg.IssueWidth]
+	}
 	s.compMask = uint64(comp - 1)
+	// The window never holds more than maxInFlight records, so the pool is
+	// filled up front from one slab, each record with a small wakeup list
+	// carved from a second one.
+	recs := make([]inflight, maxInFlight)
+	wakes := make([]schedRef, maxInFlight*wakeListCap)
+	s.pool = make([]*inflight, maxInFlight)
+	for i := range recs {
+		recs[i].wake = wakes[i*wakeListCap : i*wakeListCap : (i+1)*wakeListCap]
+		s.pool[i] = &recs[i]
+	}
 	s.pendingStores = make([]*inflight, 0, cfg.SQSize)
 	s.res.Benchmark = t.Name()
 	s.res.Config = cfg.Name
 	return s, nil
 }
+
+// wakeListCap is the wakeup-list capacity each in-flight record starts
+// with; a producer with more waiting consumers grows its list.
+const wakeListCap = 4
 
 // compEvent is one scheduled completion. seq and gen pin the event to a
 // specific occupancy of the record: after a squash recycles the record, the
@@ -204,8 +224,8 @@ func (s *Simulator) scheduleCompletion(in *inflight) {
 	s.compBuckets[idx] = append(s.compBuckets[idx], compEvent{in: in, seq: in.seq, gen: in.gen})
 }
 
-// newInflight takes a record from the pool (or allocates one when the pool
-// is empty, which only happens before steady state is reached). The record
+// newInflight takes a record from the pool (or allocates one should the
+// pool ever run dry). The record
 // is zeroed except for its generation counter, which monotonically tracks
 // reuse — callers must not reset it.
 func (s *Simulator) newInflight() *inflight {

@@ -391,13 +391,17 @@ func (s *Server) Submit(spec simapi.JobSpec, client string) (simapi.JobInfo, err
 	}
 
 	s.mu.Lock()
+	// A job publishes its terminal state before finishAccounting releases
+	// its dedup slot, so the slot may still name a job that has finished:
+	// only a queued or running job absorbs the submission. A new job takes
+	// the slot over, and the finished job's accounting leaves it alone.
 	if id, ok := s.active[hash]; ok {
-		j := s.jobs[id]
-		s.mu.Unlock()
-		s.metrics.deduped.Add(1)
-		info := j.info()
-		info.Deduped = true
-		return info, nil
+		if info := s.jobs[id].info(); !simapi.TerminalState(info.State) {
+			s.mu.Unlock()
+			s.metrics.deduped.Add(1)
+			info.Deduped = true
+			return info, nil
+		}
 	}
 	if s.cfg.MaxQueuedJobs > 0 && s.queue.depth() >= s.cfg.MaxQueuedJobs {
 		s.tenants.rejectQueueFull(client)

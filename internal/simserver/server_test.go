@@ -216,6 +216,46 @@ func jsonSection(t *testing.T, doc []byte, key string) interface{} {
 	return m[key]
 }
 
+// TestResubmitAfterPublishedFinishIsFresh pins the window between a job
+// publishing its terminal state and finishAccounting releasing its dedup
+// slot: a resubmission landing there must start a fresh job, as the
+// documented "completed jobs do not dedup" rule says, and the finished
+// job's late accounting must not release the new job's slot. The window is
+// opened by hand (workers are never started), so the test is deterministic.
+func TestResubmitAfterPublishedFinishIsFresh(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1})
+	spec := simapi.JobSpec{Experiment: "fig2", Benchmarks: []string{"gzip"}, Iterations: 10}
+	first, err := srv.Submit(spec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	j := srv.jobs[first.ID]
+	srv.mu.Unlock()
+	// What runJob does, stopped right after the terminal state is visible.
+	if !j.start(func() {}, time.Now()) {
+		t.Fatal("job did not start")
+	}
+	j.finish(simapi.StateFailed, "synthetic failure", nil, time.Now())
+
+	again, err := srv.Submit(spec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Deduped || again.ID == first.ID {
+		t.Fatalf("resubmission after the first job finished = %+v, want a fresh job", again)
+	}
+
+	srv.finishAccounting(j, simapi.StateFailed)
+	dup, err := srv.Submit(spec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dup.Deduped || dup.ID != again.ID {
+		t.Fatalf("submission while the fresh job is queued = %+v, want dedup onto %s", dup, again.ID)
+	}
+}
+
 // TestServerDedupsActiveJobs: identical specs submitted while the first is
 // still queued collapse onto one job (workers deliberately not started, so
 // the first cannot finish first).

@@ -198,86 +198,6 @@ func ApplyTransform(tr Transform, storeRegValue uint64, convertStore func(uint64
 	return v
 }
 
-// RegisterFile is the minimal interface the SRQ consumer (rename) needs from
-// the physical register file when short-circuiting: sharing a register
-// requires reference counting (Section 3.4 footnote).
-type RegisterFile interface {
-	// AddRef increments the reference count of a physical register.
-	AddRef(tag int)
-	// Release decrements the reference count, freeing the register when it
-	// reaches zero.
-	Release(tag int)
-}
-
-var _ RegisterFile = (*CountedRegFile)(nil)
-
-// CountedRegFile is a reference-counted physical register free list. It
-// tracks how many in-flight consumers (renamed outputs) share each physical
-// register; a register returns to the free list only when its count reaches
-// zero. This is the modification SMB requires of register reclamation.
-type CountedRegFile struct {
-	refs  []int
-	free  []int
-	inUse int
-}
-
-// NewCountedRegFile creates a register file with n physical registers, all
-// free.
-func NewCountedRegFile(n int) *CountedRegFile {
-	if n <= 0 {
-		panic(fmt.Sprintf("smb: register file size %d must be positive", n))
-	}
-	rf := &CountedRegFile{refs: make([]int, n), free: make([]int, 0, n)}
-	for i := n - 1; i >= 0; i-- {
-		rf.free = append(rf.free, i)
-	}
-	return rf
-}
-
-// FreeCount returns the number of unallocated physical registers.
-func (rf *CountedRegFile) FreeCount() int { return len(rf.free) }
-
-// InUse returns the number of allocated physical registers.
-func (rf *CountedRegFile) InUse() int { return rf.inUse }
-
-// Alloc takes a free physical register (reference count 1). ok is false when
-// none are free (rename must stall).
-func (rf *CountedRegFile) Alloc() (tag int, ok bool) {
-	if len(rf.free) == 0 {
-		return 0, false
-	}
-	tag = rf.free[len(rf.free)-1]
-	rf.free = rf.free[:len(rf.free)-1]
-	rf.refs[tag] = 1
-	rf.inUse++
-	return tag, true
-}
-
-// AddRef increments the reference count of an allocated register (a bypassed
-// load sharing the DEF's output).
-func (rf *CountedRegFile) AddRef(tag int) {
-	if rf.refs[tag] <= 0 {
-		panic(fmt.Sprintf("smb: AddRef on free register %d", tag))
-	}
-	rf.refs[tag]++
-}
-
-// Release decrements the reference count, returning the register to the free
-// list when it reaches zero.
-func (rf *CountedRegFile) Release(tag int) {
-	if rf.refs[tag] <= 0 {
-		panic(fmt.Sprintf("smb: Release on free register %d", tag))
-	}
-	rf.refs[tag]--
-	if rf.refs[tag] == 0 {
-		rf.free = append(rf.free, tag)
-		rf.inUse--
-	}
-}
-
-// Refs returns the current reference count of a register (for tests).
-func (rf *CountedRegFile) Refs(tag int) int { return rf.refs[tag] }
-
 // PlanForInsts is a convenience wrapper building a Plan from static
 // instructions plus a shift amount.
 func PlanForInsts(st *isa.Inst, ld *isa.Inst, shift uint8) (Transform, bool) {

@@ -142,65 +142,6 @@ func TestApplyTransformFPConversion(t *testing.T) {
 	}
 }
 
-func TestCountedRegFileAllocRelease(t *testing.T) {
-	rf := NewCountedRegFile(4)
-	if rf.FreeCount() != 4 || rf.InUse() != 0 {
-		t.Fatalf("initial state: free=%d inuse=%d", rf.FreeCount(), rf.InUse())
-	}
-	tags := make([]int, 0, 4)
-	for i := 0; i < 4; i++ {
-		tag, ok := rf.Alloc()
-		if !ok {
-			t.Fatalf("alloc %d failed", i)
-		}
-		tags = append(tags, tag)
-	}
-	if _, ok := rf.Alloc(); ok {
-		t.Error("alloc should fail when empty")
-	}
-	rf.Release(tags[0])
-	if rf.FreeCount() != 1 {
-		t.Errorf("free count after release = %d", rf.FreeCount())
-	}
-}
-
-func TestCountedRegFileSharing(t *testing.T) {
-	rf := NewCountedRegFile(2)
-	tag, _ := rf.Alloc()
-	rf.AddRef(tag) // a bypassed load shares the register
-	rf.Release(tag)
-	if rf.FreeCount() != 1 {
-		t.Error("register freed while still referenced")
-	}
-	if rf.Refs(tag) != 1 {
-		t.Errorf("refs = %d, want 1", rf.Refs(tag))
-	}
-	rf.Release(tag)
-	if rf.FreeCount() != 2 {
-		t.Error("register not freed after last release")
-	}
-}
-
-func TestCountedRegFileMisusePanics(t *testing.T) {
-	rf := NewCountedRegFile(2)
-	tag, _ := rf.Alloc()
-	rf.Release(tag)
-	for _, fn := range []func(){
-		func() { rf.Release(tag) },
-		func() { rf.AddRef(tag) },
-		func() { NewCountedRegFile(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestPlanForInsts(t *testing.T) {
 	st := &isa.Inst{Op: isa.OpStore, MemSize: 8, Src1: isa.IntReg(1), Src2: isa.IntReg(2)}
 	ld := &isa.Inst{Op: isa.OpLoad, MemSize: 4, Dst: isa.IntReg(3), Src1: isa.IntReg(1), Signed: true}
@@ -243,30 +184,6 @@ func TestTransformEquivalenceProperty(t *testing.T) {
 		return got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the reference-counted register file never leaks or double-frees:
-// after any sequence of balanced AddRef/Release pairs the free count returns
-// to its original value.
-func TestRegFileBalanceProperty(t *testing.T) {
-	f := func(extraRefs uint8) bool {
-		rf := NewCountedRegFile(8)
-		tag, ok := rf.Alloc()
-		if !ok {
-			return false
-		}
-		n := int(extraRefs % 16)
-		for i := 0; i < n; i++ {
-			rf.AddRef(tag)
-		}
-		for i := 0; i < n+1; i++ {
-			rf.Release(tag)
-		}
-		return rf.FreeCount() == 8 && rf.InUse() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -16,7 +16,7 @@
 //
 // Simulation throughput is measured by the perf harness (perf), which runs a
 // pinned benchmark grid over shared recorded traces (emu.Trace +
-// pipeline.NewFromTrace) and emits BENCH_<rev>.json documents that CI gates
+// pipeline.NewBatch) and emits BENCH_<rev>.json documents that CI gates
 // against the committed baseline under bench/.
 //
 // The simulation service (simserver, with the simapi wire types and the

@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/pipeline"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -223,13 +224,13 @@ func Run(opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			scalarWall := gridWalls[0]
+			soloWall := gridWalls[0]
 			for _, w := range gridWalls[1:] {
-				if w < scalarWall {
-					scalarWall = w
+				if w < soloWall {
+					soloWall = w
 				}
 			}
-			be.Speedup = float64(scalarWall) / float64(be.WallNs)
+			be.Speedup = float64(soloWall) / float64(be.WallNs)
 			res.BatchEntries = append(res.BatchEntries, be)
 		}
 	}
@@ -262,36 +263,45 @@ func Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
+// timedBatch runs cfgs as one batch over the shared trace and returns the
+// members' statistics, the wall time of the run, and the allocations it
+// made. The MemStats window opens before batch construction, so the counts
+// cover the whole cost a sweep group pays: hardware-structure construction
+// plus the cycle loop.
+func timedBatch(trace *emu.Trace, meta *pipeline.TraceMeta, cfgs []pipeline.Config) (runs []stats.Run, wall time.Duration, allocs, bytes uint64, err error) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b, err := pipeline.NewBatch(trace, meta, cfgs)
+	if err != nil {
+		return nil, 0, 0, 0, err
+	}
+	start := time.Now()
+	runs, errs := b.Run()
+	wall = max(time.Since(start), time.Nanosecond)
+	runtime.ReadMemStats(&m1)
+	for i, err := range errs {
+		if err != nil {
+			return nil, 0, 0, 0, fmt.Errorf("%s: %w", cfgs[i].Name, err)
+		}
+	}
+	return runs, wall, m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc, nil
+}
+
 // measure times Repeats simulations of one configuration (width-1 batches)
-// over a shared trace, keeping the best throughput and the lowest allocation count (the
-// steady-state floor; the first run pays one-time warm-up allocations such
-// as page-table and bucket growth). The returned walls slice carries every
-// repeat's wall time in order, so the caller can reconstruct per-repeat
-// grid passes.
+// over a shared trace, keeping the best throughput and the lowest allocation
+// count (the steady-state floor; the first run pays one-time warm-up
+// allocations such as page-table and bucket growth). The returned walls
+// slice carries every repeat's wall time in order, so the caller can
+// reconstruct per-repeat grid passes.
 func measure(trace *emu.Trace, meta *pipeline.TraceMeta, cfg pipeline.Config, kindName, benchmark string, repeats int) (Entry, []int64, error) {
 	var best Entry
 	walls := make([]int64, 0, repeats)
 	for r := 0; r < repeats; r++ {
-		// The MemStats window opens before simulator construction so
-		// AllocsPerRun covers the whole per-simulation cost a sweep job
-		// pays: hardware-structure construction plus the cycle loop.
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		sim, err := pipeline.NewBatch(trace, meta, []pipeline.Config{cfg})
-		if err != nil {
-			return Entry{}, nil, err
-		}
-		start := time.Now()
-		runs, errs := sim.Run()
-		wall := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		run, err := runs[0], errs[0]
+		runs, wall, allocs, bytes, err := timedBatch(trace, meta, []pipeline.Config{cfg})
 		if err != nil {
 			return Entry{}, nil, fmt.Errorf("perf: %s/%s: %w", benchmark, kindName, err)
 		}
-		if wall <= 0 {
-			wall = time.Nanosecond
-		}
+		run := runs[0]
 		walls = append(walls, wall.Nanoseconds())
 		e := Entry{
 			Config:       kindName,
@@ -301,8 +311,8 @@ func measure(trace *emu.Trace, meta *pipeline.TraceMeta, cfg pipeline.Config, ki
 			WallNs:       wall.Nanoseconds(),
 			InstsPerSec:  float64(run.Committed) / wall.Seconds(),
 			NsPerCycle:   float64(wall.Nanoseconds()) / float64(run.Cycles),
-			AllocsPerRun: m1.Mallocs - m0.Mallocs,
-			BytesPerRun:  m1.TotalAlloc - m0.TotalAlloc,
+			AllocsPerRun: allocs,
+			BytesPerRun:  bytes,
 		}
 		if r == 0 {
 			best = e
@@ -323,29 +333,13 @@ func measure(trace *emu.Trace, meta *pipeline.TraceMeta, cfg pipeline.Config, ki
 
 // measureBatch times Repeats config-parallel runs of one benchmark's full
 // configuration set over the shared trace and pre-decoded meta, keeping the
-// best throughput and lowest allocation count exactly like measure. Batch
-// construction is inside the MemStats window for the same reason simulator
-// construction is: it is the per-batch cost a sweep group pays.
+// best throughput and lowest allocation count exactly like measure.
 func measureBatch(trace *emu.Trace, meta *pipeline.TraceMeta, cfgs []pipeline.Config, benchmark string, repeats int) (BatchEntry, error) {
 	var best BatchEntry
 	for r := 0; r < repeats; r++ {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		batch, err := pipeline.NewBatch(trace, meta, cfgs)
+		runs, wall, allocs, bytes, err := timedBatch(trace, meta, cfgs)
 		if err != nil {
-			return BatchEntry{}, fmt.Errorf("perf: batching %s: %w", benchmark, err)
-		}
-		start := time.Now()
-		runs, errs := batch.Run()
-		wall := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		for i, err := range errs {
-			if err != nil {
-				return BatchEntry{}, fmt.Errorf("perf: %s batch member %d: %w", benchmark, i, err)
-			}
-		}
-		if wall <= 0 {
-			wall = time.Nanosecond
+			return BatchEntry{}, fmt.Errorf("perf: %s batch: %w", benchmark, err)
 		}
 		var insts uint64
 		for _, run := range runs {
@@ -357,8 +351,8 @@ func measureBatch(trace *emu.Trace, meta *pipeline.TraceMeta, cfgs []pipeline.Co
 			Instructions: insts,
 			WallNs:       wall.Nanoseconds(),
 			InstsPerSec:  float64(insts) / wall.Seconds(),
-			AllocsPerRun: m1.Mallocs - m0.Mallocs,
-			BytesPerRun:  m1.TotalAlloc - m0.TotalAlloc,
+			AllocsPerRun: allocs,
+			BytesPerRun:  bytes,
 		}
 		if r == 0 {
 			best = e

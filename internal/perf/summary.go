@@ -9,7 +9,7 @@ import (
 // against baseline, written by CI's bench job to the step summary: one
 // geomean-delta row per configuration kind (throughput and allocs/kinst),
 // the overall mean, and the batch measurement with its width and speedup
-// over scalar simulation.
+// over one-configuration-at-a-time ("scalar") simulation.
 //
 // Improvements larger than improveFlagPct percent are called out with a
 // reminder to refresh the committed baseline: the regression gate compares

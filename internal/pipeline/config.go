@@ -12,19 +12,16 @@
 // predictor, delay, SVW-filtered in-order load re-execution, and the
 // lengthened NoSQ commit pipeline — are modelled structurally.
 //
-// Two execution engines run that model. A solo Simulator steps one
-// (trace, configuration) pair cycle by cycle. Batch is the config-parallel
-// engine: all configurations of one benchmark replay a single shared
-// recorded trace (emu.Trace plus a pre-decoded TraceMeta) in interleaved
-// instruction quanta, so the trace and its metadata are streamed through
-// the cache once per benchmark instead of once per configuration, and the
-// event-driven issue scheduler (sched.go) replaces the oldest-first scan.
-// Batching is a pure execution strategy: every member performs exactly the
-// per-cycle step sequence of a solo Simulator, so its statistics are
-// bit-identical to a solo run of the same pair — the property the CI
-// bit-identity job enforces. The policy deciding which pairs are grouped
-// into a batch lives in internal/experiments; the off switches are the
-// CLIs' -no-batch flag and the NOSQ_NO_BATCH environment variable.
+// One execution path runs that model. A Simulator steps one (trace,
+// configuration) pair cycle by cycle, replaying a recorded trace (emu.Trace
+// plus a pre-decoded TraceMeta) and issuing through the event-driven
+// scheduler (sched.go). Batch runs one or more Simulators of one benchmark
+// over the shared trace in interleaved instruction quanta, so the trace and
+// its metadata are streamed through the cache once per benchmark instead of
+// once per configuration. Every member performs exactly the per-cycle step
+// sequence of a solo Simulator, so its statistics are bit-identical to a
+// solo run of the same pair. The policy deciding which pairs are grouped
+// into a batch lives in internal/experiments.
 package pipeline
 
 import (

@@ -8,15 +8,11 @@ import (
 // recorded trace: everything the front-end derives from the dynamic
 // instruction stream that does not depend on the simulated machine.
 //
-// A config-parallel batch (see Batch) computes it once per trace and shares
-// it read-only across all member simulations, so the per-fetch work of
-// classifying instructions — which every configuration would otherwise redo,
-// including on every post-squash re-fetch — is paid once per benchmark
-// instead of once per (benchmark, configuration).
-//
-// The values are exactly those the scalar path computes per fetch (classify
-// of the same static instruction), so a simulation using TraceMeta is
-// bit-identical to one without it.
+// It is computed once per trace and shared read-only by every simulation of
+// the trace (see Batch), so the per-fetch work of classifying instructions
+// — which every configuration would otherwise redo, including on every
+// post-squash re-fetch — is paid once per benchmark instead of once per
+// (benchmark, configuration).
 type TraceMeta struct {
 	// class[i] is the issue-port class of the instruction with sequence
 	// number i+1, stored as a byte: the class array is read once per fetch

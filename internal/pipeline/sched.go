@@ -10,10 +10,10 @@ import (
 // ready() predicate holds, within the per-class port budgets and the issue
 // width. Rather than polling every occupant every cycle, the selection is
 // computed from events: an instruction dispatched into the issue queue
-// registers a wakeup on each
-// condition that blocks it (an incomplete producer, a store it must wait
-// for, a store-sequence number that must reach the data cache), and the
-// conditions mark it candidate-ready as they resolve. Ready candidates live
+// registers a wakeup on each condition that blocks it (an incomplete
+// producer, a store it must wait for, a store-sequence number that must
+// reach the data cache), and the conditions mark it candidate-ready as they
+// resolve. Ready candidates live
 // in a bitmap indexed by window-ring slot (seq & seqMask — the window ring
 // has power-of-two capacity and contiguous sequence numbers, so the mapping
 // is unique per window occupant and rotates with the window), and the issue

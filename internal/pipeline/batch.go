@@ -58,11 +58,11 @@ func NewBatch(t *emu.Trace, meta *TraceMeta, cfgs []Config) (*Batch, error) {
 // Width returns the number of member simulations.
 func (b *Batch) Width() int { return len(b.sims) }
 
-// Run advances all members round-robin in instruction quanta until every member
-// completes, and returns each member's statistics and error in configuration
-// order. A member that fails (cycle limit) reports its partial statistics
-// alongside its error, exactly like Simulator.Run; other members are
-// unaffected.
+// Run advances all members round-robin in instruction quanta until every
+// member completes, and returns each member's statistics and error in
+// configuration order. A member that fails (cycle limit) reports its partial
+// statistics alongside its error, exactly like Simulator.Run; other members
+// are unaffected.
 func (b *Batch) Run() ([]stats.Run, []error) {
 	n := len(b.sims)
 	results := make([]stats.Run, n)

@@ -225,9 +225,8 @@ func (s *Simulator) scheduleCompletion(in *inflight) {
 }
 
 // newInflight takes a record from the pool (or allocates one should the
-// pool ever run dry). The record
-// is zeroed except for its generation counter, which monotonically tracks
-// reuse — callers must not reset it.
+// pool ever run dry). The record is zeroed except for its generation
+// counter, which monotonically tracks reuse — callers must not reset it.
 func (s *Simulator) newInflight() *inflight {
 	if n := len(s.pool); n > 0 {
 		in := s.pool[n-1]

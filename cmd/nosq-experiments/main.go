@@ -2,7 +2,7 @@
 // evaluation (Table 5 and Figures 2-5) plus the free-form sweep. Results
 // render as paper-style text (default), Markdown, JSON, or CSV, and long
 // sweeps can be sharded across processes and resumed from a JSONL
-// checkpoint.
+// checkpoint, which only a build of the same code revision resumes.
 //
 // Examples:
 //
@@ -59,7 +59,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "abort the run after this long; finished pairs stay checkpointed (0 = no deadline)")
 		shards     = flag.Int("shards", 0, "split the job list across N processes (0 or 1 = no sharding)")
 		shardIndex = flag.Int("shard-index", 0, "this process's 0-based shard (with -shards)")
-		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint file: finished pairs are recorded and never re-run; entries are scoped per experiment, so one file may be shared")
+		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint file: finished pairs are recorded and never re-run by a build of the same code revision; entries are scoped per experiment, so one file may be shared")
 		scenario   = flag.String("scenario", "", "workload scenario spec file (JSON) to run through the scenario experiment")
 		corpusDir  = flag.String("corpus-dir", "", "corpus experiment only: directory of committed scenario entries (default: bench/corpus)")
 		traceDir   = flag.String("trace-dir", "", "trace experiment only: directory of recorded trace entries (default: bench/traces)")
@@ -95,7 +95,6 @@ func main() {
 		Parallelism: *parallel,
 		Shards:      *shards,
 		ShardIndex:  *shardIndex,
-		Checkpoint:  *checkpoint,
 		CorpusDir:   *corpusDir,
 		TraceDir:    *traceDir,
 	}
@@ -183,6 +182,35 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The checkpoint opens before anything runs, so an unwritable path fails
+	// before minutes of simulation whose results it was meant to keep. exit
+	// closes it (fsyncing the last records) on every path out.
+	var store *experiments.ResultFile
+	if *checkpoint != "" {
+		s, corrupt, err := experiments.OpenResultFile(*checkpoint, obs.CodeRevision())
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		if corrupt > 0 {
+			fmt.Fprintf(os.Stderr, "warning: checkpoint %s: skipped %d corrupt line(s); the affected pairs will re-run\n",
+				*checkpoint, corrupt)
+		}
+		store = s
+		opts.Store = store
+	}
+	exit := func(code int) {
+		if store != nil {
+			if err := store.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "checkpoint %s: %v\n", *checkpoint, err)
+				if code == 0 {
+					code = 1
+				}
+			}
+		}
+		os.Exit(code)
+	}
+
 	// SIGINT/SIGTERM and -timeout cancel in-flight experiments; finished
 	// pairs stay in the checkpoint file, so re-running the same command
 	// resumes.
@@ -204,15 +232,15 @@ func main() {
 					fmt.Fprintf(os.Stderr, "; finished pairs are in %s — re-run the same command to resume", *checkpoint)
 				}
 				fmt.Fprintln(os.Stderr)
-				os.Exit(1)
+				exit(1)
 			}
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name(), err)
-			os.Exit(1)
+			exit(1)
 		}
 		text, err := rep.Render(*format)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			exit(2)
 		}
 		timing := fmt.Sprintf("(%s completed in %v)\n", e.Name(), time.Since(start).Round(time.Millisecond))
 
@@ -225,7 +253,7 @@ func main() {
 			}
 			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				exit(1)
 			}
 			fmt.Fprint(os.Stderr, timing)
 			continue
@@ -240,4 +268,5 @@ func main() {
 		}
 		fmt.Print(text)
 	}
+	exit(0)
 }

@@ -78,7 +78,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent jobs")
 		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations per job")
-		cache       = flag.String("cache", "", "persist the result cache to this JSONL file (default: memory only)")
+		cache       = flag.String("cache", "", "persist the result cache to this JSONL file, in the nosq-experiments -checkpoint format (default: memory only)")
 		maxIters    = flag.Int("max-iters", 0, "reject jobs asking for more workload iterations (0 = no cap)")
 		maxJobs     = flag.Int("max-finished", 0, "retain at most N finished jobs' metadata; oldest evicted (0 = 1000)")
 		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "remote shard-task lease TTL; an expired lease re-queues the task")

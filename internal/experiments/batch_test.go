@@ -105,7 +105,7 @@ func TestSweepSliceSplitsBatchGroup(t *testing.T) {
 	for _, sl := range []PairSlice{{Start: 0, End: 2}, {Start: 2, End: 5}} {
 		sl := sl
 		_, sum, err := runSweep(context.Background(), benchmarks, cfgs,
-			Options{Iterations: 25, Parallelism: 2, Checkpoint: ck, Slice: &sl})
+			Options{Iterations: 25, Parallelism: 2, Store: openStore(t, ck), Slice: &sl})
 		if err != nil {
 			t.Fatalf("slice %+v: %v", sl, err)
 		}
@@ -118,7 +118,7 @@ func TestSweepSliceSplitsBatchGroup(t *testing.T) {
 	}
 
 	merged, sum, err := runSweep(context.Background(), benchmarks, cfgs,
-		Options{Iterations: 25, Checkpoint: ck})
+		Options{Iterations: 25, Store: openStore(t, ck)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func TestExecutorMergedReportByteIdentical(t *testing.T) {
 	// also exercises slices spanning already-resolved pairs.
 	seedCk := filepath.Join(dir, "seed.jsonl")
 	seedOpts := base
-	seedOpts.Checkpoint = seedCk
+	seedOpts.Store = openStore(t, seedCk)
 	seedOpts.Slice = &PairSlice{Start: 0, End: 3}
 	if _, err := exp.Run(ctx, seedOpts); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestExecutorMergedReportByteIdentical(t *testing.T) {
 	refCk := filepath.Join(dir, "ref.jsonl")
 	copyFile(t, seedCk, refCk)
 	refOpts := base
-	refOpts.Checkpoint = refCk
+	refOpts.Store = openStore(t, refCk)
 	refRep, err := exp.Run(ctx, refOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestExecutorMergedReportByteIdentical(t *testing.T) {
 	distCk := filepath.Join(dir, "dist.jsonl")
 	copyFile(t, seedCk, distCk)
 	distOpts := base
-	distOpts.Checkpoint = distCk
+	distOpts.Store = openStore(t, distCk)
 	distOpts.Executor = func(ctx context.Context, req ExecRequest) error {
 		if len(req.Pending) != 7 {
 			return fmt.Errorf("pending = %d pairs, want 7", len(req.Pending))
@@ -218,7 +218,7 @@ func TestExecutorPartialFailure(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck.jsonl")
 	boom := errors.New("worker fleet lost")
 
-	opts := Options{Iterations: 25, Checkpoint: ck}
+	opts := Options{Iterations: 25, Store: openStore(t, ck)}
 	opts.Executor = func(ctx context.Context, req ExecRequest) error {
 		// Execute just the first pair — through a real single-pair slice run —
 		// then emit it twice and fail.
@@ -242,7 +242,7 @@ func TestExecutorPartialFailure(t *testing.T) {
 		t.Fatalf("summary = %+v, want 1 executed (duplicate ignored), 3 failed", sum)
 	}
 
-	_, sum2, err := runSweep(context.Background(), benchmarks, cfgs, Options{Iterations: 25, Checkpoint: ck})
+	_, sum2, err := runSweep(context.Background(), benchmarks, cfgs, Options{Iterations: 25, Store: openStore(t, ck)})
 	if err != nil {
 		t.Fatal(err)
 	}

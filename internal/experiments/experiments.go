@@ -20,9 +20,9 @@
 // Simulations are farmed out to a worker pool by the sweep engine
 // (one simulation per benchmark/configuration pair), which also provides
 // deterministic job ordering, per-shard job selection (Options.Shards /
-// Options.ShardIndex), JSONL checkpointing so interrupted sweeps resume
-// without re-running finished pairs (Options.Checkpoint), and context-based
-// cancellation.
+// Options.ShardIndex), a result store so interrupted sweeps resume without
+// re-running finished pairs (Options.Store, usually a ResultFile), and
+// context-based cancellation.
 package experiments
 
 import (
@@ -50,7 +50,8 @@ type Options struct {
 	// Shards splits the experiment's deterministic job list across
 	// independent processes: with Shards > 1, this process runs only the jobs
 	// whose position i satisfies i % Shards == ShardIndex (0-based).
-	// Shards <= 1 runs everything.
+	// Shards 0 or 1 runs everything and requires ShardIndex 0; a negative
+	// Shards is rejected.
 	Shards     int
 	ShardIndex int
 
@@ -65,9 +66,9 @@ type Options struct {
 	// Executor, if set, replaces the local worker pool: the engine plans the
 	// sweep (resume, shard and slice filtering, progress events, the result
 	// store) and then hands the pending pairs to the executor instead of
-	// simulating them in-process. The simulation coordinator uses this seam
-	// to fan pair slices out to remote workers while keeping reports
-	// byte-identical to a local run.
+	// simulating them in-process (nil = the local pool). The simulation
+	// coordinator uses this seam to fan pair slices out to remote workers
+	// while keeping reports byte-identical to a local run.
 	Executor Executor
 
 	// MaxInsts bounds each simulation to N committed instructions
@@ -75,21 +76,15 @@ type Options struct {
 	// resume under a different bound re-runs rather than serving stale rows.
 	MaxInsts uint64
 
-	// Checkpoint names a JSONL file recording every finished
-	// (benchmark, configuration) run. Pairs already in the file are loaded
-	// instead of re-run, so an interrupted experiment resumes where it
-	// stopped; shards pointed at per-shard files can be concatenated and
-	// re-read to merge a distributed sweep. Entries are scoped by experiment
-	// and by Iterations, so one file can be shared safely — a resume under
-	// different settings re-runs rather than serving stale rows.
-	Checkpoint string
-
-	// Store overrides the checkpoint file with an arbitrary ResultStore:
-	// finished pairs are appended to it and its stored entries are resumed
-	// instead of re-run. When set, Checkpoint is ignored. The caller owns the
-	// store's lifecycle (the engine never closes an injected store), so one
-	// store can serve many runs — the simulation server shares one
-	// content-addressed cache across every job it executes.
+	// Store, if set, holds finished (benchmark, configuration) runs: its
+	// entries are resumed instead of re-run, and every newly finished pair is
+	// appended to it. Entries are scoped by experiment and by Iterations, so
+	// one store can be shared safely — a resume under different settings
+	// re-runs rather than serving stale rows. The caller owns the store's
+	// lifecycle (the engine never closes it), so one store can serve many
+	// runs: nosq-experiments -checkpoint opens one ResultFile for all
+	// selected experiments, and the simulation server shares one across
+	// every job it executes.
 	Store ResultStore
 
 	// Progress, if set, observes the run: the job plan once it is decided,
@@ -124,7 +119,7 @@ type Options struct {
 	// Scenario gives the scenario experiment an inline workload spec to run
 	// instead of the built-in stress suite. The scenario's canonicalized
 	// content hash becomes part of the experiment scope — and therefore of
-	// every checkpoint and result-cache key — so two scenarios that differ in
+	// every result-store key — so two scenarios that differ in
 	// any knob can never serve each other's cached measurements. Other
 	// experiments ignore it.
 	Scenario *workload.Scenario
@@ -142,16 +137,17 @@ type Options struct {
 	// RecordTrace. Not caller-configurable.
 	traceLoaders map[string]func() (*emu.Trace, error)
 
-	// scope namespaces checkpoint entries by experiment, so one checkpoint
-	// file shared across experiments (sequential runs, -exp all) can never
+	// scope namespaces result-store entries by experiment, so one store
+	// shared across experiments (sequential runs, -exp all) can never
 	// serve one experiment's runs to another. Each experiment sets it on
 	// entry; it is not caller-configurable.
 	scope string
 
-	// afterCheckpoint, if set, is called after the n-th checkpoint append
-	// (1-based). Test hook: lets the interrupted-resume test cancel its
-	// context at a deterministic point instead of racing a timer.
-	afterCheckpoint func(n int)
+	// afterPair, if set, is called after the n-th executed pair (1-based)
+	// has been appended to the store. Test hook: lets the interrupted-resume
+	// test cancel its context at a deterministic point instead of racing a
+	// timer.
+	afterPair func(n int)
 }
 
 func (o Options) workers() int {

@@ -212,9 +212,6 @@ func report(name string, tbl *stats.Table, rows interface{}, sum Summary) *Repor
 	if sum.Incomplete > 0 {
 		r.AddMeta("benchmarks-dropped-incomplete", sum.Incomplete)
 	}
-	if sum.CorruptCheckpoint > 0 {
-		r.AddMeta("checkpoint-corrupt-lines", sum.CorruptCheckpoint)
-	}
 	return r
 }
 

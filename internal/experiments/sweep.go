@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -125,9 +121,9 @@ type PairJob struct {
 	Config    string `json:"config"`
 }
 
-// ExecRequest is the engine's side of a remote execution: the pending pairs
-// after resume and shard filtering, the already-resolved entries a remote
-// slice may span, and the callback that lands results.
+// ExecRequest is the engine's side of an execution: the pending pairs after
+// resume and shard filtering, the already-resolved entries a remote slice may
+// span, and the callback that lands results.
 type ExecRequest struct {
 	// Pending lists the pairs to execute, in ascending Index order (a
 	// subsequence of the full deterministic pair order).
@@ -145,13 +141,13 @@ type ExecRequest struct {
 	Emit func(PairJob, stats.Run)
 }
 
-// Executor runs a sweep's pending pairs somewhere other than the local
-// worker pool — the simulation coordinator installs one that leases
-// contiguous slices of the pair order to remote workers. The engine still
-// owns planning, resume, the result store, and progress events; the
-// executor owns only raw pair execution. Returning an error fails the sweep
-// (pairs already emitted are still recorded in the store, exactly like a
-// local run with a failing pair).
+// Executor runs a sweep's pending pairs and lands each through req.Emit. The
+// default is the local worker pool (localExecutor); the simulation
+// coordinator installs one that leases contiguous slices of the pair order
+// to remote workers. The engine owns planning, resume, the result store, and
+// progress events; the executor owns only raw pair execution. Returning an
+// error fails the sweep (pairs already emitted are still recorded in the
+// store).
 type Executor func(ctx context.Context, req ExecRequest) error
 
 // Summary describes how a sweep's job list was disposed of.
@@ -160,16 +156,14 @@ type Summary struct {
 	Total int
 	// Executed counts jobs simulated by this process.
 	Executed int
-	// Resumed counts jobs loaded from the checkpoint file instead of re-run.
+	// Resumed counts jobs loaded from the result store instead of re-run.
 	Resumed int
 	// SkippedShard counts jobs belonging to other shards.
 	SkippedShard int
-	// Failed counts jobs whose simulation returned an error.
+	// Failed counts pending jobs that were not executed: their simulation
+	// returned an error, the executor never delivered them, or the run was
+	// cancelled first.
 	Failed int
-	// CorruptCheckpoint counts checkpoint lines that could not be parsed
-	// (e.g. a line truncated when the writing process was killed). They are
-	// skipped — their jobs re-run — and surfaced as a warning.
-	CorruptCheckpoint int
 	// Incomplete counts benchmarks dropped from a table/figure presentation
 	// because shard selection left them without a full configuration set.
 	Incomplete int
@@ -181,8 +175,8 @@ type Summary struct {
 	BatchedPairs int
 }
 
-// CheckpointEntry is one finished job: one JSON line of a checkpoint file,
-// one record of a ResultStore, and the payload of a per-pair progress event.
+// CheckpointEntry is one finished job: one record of a ResultStore and the
+// payload of a per-pair progress event.
 // Experiment scopes the entry so a store shared across experiments cannot
 // serve one experiment's runs to another, and Iterations/MaxInsts pin the
 // workload length so a resume under different settings re-runs instead of
@@ -209,9 +203,8 @@ func pairKey(scope string, iterations int, maxInsts uint64, benchmark, config st
 // ResultStore abstracts where finished (benchmark, configuration) runs live.
 // The sweep engine loads previously stored entries before executing anything
 // — entries whose Key matches a planned job are served as resumed results —
-// and appends every newly finished run. The default store is a JSONL
-// checkpoint file (Options.Checkpoint); the simulation server injects a
-// content-addressed cache shared across jobs instead (Options.Store).
+// and appends every newly finished run. ResultFile is the implementation
+// nosq-experiments -checkpoint and the simulation server share.
 // Implementations must be safe for concurrent Append calls.
 type ResultStore interface {
 	// Load returns the stored entries plus a count of corrupt records that
@@ -247,166 +240,40 @@ type PairTimer interface {
 	PairTimed(benchmark, config string, wall time.Duration)
 }
 
-// LoadCheckpointEntries reads a JSONL checkpoint file. A missing file is an
-// empty checkpoint. Malformed lines (e.g. a line truncated when the writing
-// process was killed, or one missing its identifying fields) are skipped so a
-// checkpoint stays usable after any interruption; corrupt counts them so
-// callers can warn — a silently shrinking checkpoint would otherwise look
-// like completed work re-running for no reason.
-func LoadCheckpointEntries(path string) (entries []CheckpointEntry, corrupt int, err error) {
-	if path == "" {
-		return nil, 0, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, 0, nil
-		}
-		return nil, 0, fmt.Errorf("experiments: reading checkpoint: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e CheckpointEntry
-		if json.Unmarshal(line, &e) != nil || e.Benchmark == "" || e.Config == "" {
-			corrupt++
-			continue
-		}
-		entries = append(entries, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, corrupt, fmt.Errorf("experiments: reading checkpoint: %w", err)
-	}
-	return entries, corrupt, nil
-}
-
-// checkpointWriter appends finished jobs to the JSONL checkpoint file. Each
-// append is one unbuffered write of a complete line (so every recorded pair
-// reaches the OS before the job counts as checkpointed, and an interrupted
-// sweep never re-runs finished work), and Close fsyncs before closing so a
-// crash right after a clean shutdown cannot leave a truncated final line
-// for the corrupt-line skipper to discard.
-type checkpointWriter struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-func openCheckpoint(path string) (*checkpointWriter, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: opening checkpoint: %w", err)
-	}
-	return &checkpointWriter{f: f}, nil
-}
-
-func (w *checkpointWriter) append(e CheckpointEntry) error {
-	b, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, err = w.f.Write(append(b, '\n'))
-	return err
-}
-
-func (w *checkpointWriter) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	err := w.f.Sync()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// checkpointFileStore is the default ResultStore: entries resume from and
-// append to one JSONL checkpoint file. The writer opens lazily, so a sweep
-// that resumes everything never touches the file for writing.
-type checkpointFileStore struct {
-	path string
-	mu   sync.Mutex
-	w    *checkpointWriter
-}
-
-func (s *checkpointFileStore) Load() ([]CheckpointEntry, int, error) {
-	return LoadCheckpointEntries(s.path)
-}
-
-// open makes the writer eagerly so a sweep with pending work rejects an
-// unwritable checkpoint path before simulating anything, not after.
-func (s *checkpointFileStore) open() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w != nil {
-		return nil
-	}
-	w, err := openCheckpoint(s.path)
-	if err != nil {
-		return err
-	}
-	s.w = w
-	return nil
-}
-
-func (s *checkpointFileStore) Append(e CheckpointEntry) error {
-	if err := s.open(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	w := s.w
-	s.mu.Unlock()
-	return w.append(e)
-}
-
-func (s *checkpointFileStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w == nil {
-		return nil
-	}
-	err := s.w.Close()
-	s.w = nil
-	return err
-}
-
 // runSweep is the sweep engine behind every experiment: it runs each
-// (benchmark, configuration) pair through the simulator using a worker pool,
-// generating each benchmark's program once. Locally executed pairs of the
-// same benchmark and window geometry run config-parallel — one batch
-// simulation over the benchmark's shared trace (see pipeline.Batch and
-// planGroups); a pair's measurements do not depend on its group, so
-// grouping is invisible in every output.
+// (benchmark, configuration) pair through the simulator, by default on the
+// local worker pool (localExecutor), generating each benchmark's program
+// once. Locally executed pairs of the same benchmark and window geometry run
+// config-parallel — one batch simulation over the benchmark's shared trace
+// (see pipeline.Batch and planGroups); a pair's measurements do not depend on
+// its group, so grouping is invisible in every output.
 //
 // The job list is deterministic — benchmarks in the given order, configuration
 // keys sorted — which makes two things possible. First, sharding: with
 // opts.Shards > 1, only jobs whose list position i satisfies
 // i % Shards == ShardIndex are run, so independent processes (or machines) can
 // split one sweep without coordination (opts.Slice selects a contiguous
-// position range instead — the coordinated, leased variant of the same idea). Second, resumption: every finished
-// job is appended to the configured ResultStore (by default a JSONL
-// checkpoint file, Options.Checkpoint), and pairs already present in the
-// store are loaded instead of re-run. Entries are keyed by (experiment scope,
-// iterations, max-insts, benchmark, configuration), so a shared store never
-// serves runs across experiments or across workload lengths; shards pointed
-// at a shared file (or at per-shard files later concatenated) merge into one
-// result set.
+// position range instead — the coordinated, leased variant of the same idea).
+// Second, resumption: every finished job is appended to opts.Store, and pairs
+// already present in the store are loaded instead of re-run. Entries are
+// keyed by (experiment scope, iterations, max-insts, benchmark,
+// configuration), so a shared store never serves runs across experiments or
+// across workload lengths; shards pointed at a shared file (or at per-shard
+// files later concatenated) merge into one result set.
 //
-// Planning and completion are observable through Options.Progress, and the
-// store is injectable through Options.Store — the simulation server uses both
-// to stream per-pair progress and share one content-addressed result cache
-// across jobs.
+// Planning and completion are observable through Options.Progress. Every
+// executed pair, local or remote, lands through ExecRequest.Emit.
 //
 // Cancelling ctx stops dispatching new jobs; in-flight simulations finish,
 // are recorded in the store, and runSweep returns ctx.Err().
 func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline.Config, opts Options) (map[string]map[string]stats.Run, Summary, error) {
 	var sum Summary
-	if opts.Shards > 1 && (opts.ShardIndex < 0 || opts.ShardIndex >= opts.Shards) {
+	switch {
+	case opts.Shards < 0:
+		return nil, sum, fmt.Errorf("experiments: negative shard count %d", opts.Shards)
+	case opts.Shards <= 1 && opts.ShardIndex != 0:
+		return nil, sum, fmt.Errorf("experiments: shard index %d needs a shard count above 1, got %d", opts.ShardIndex, opts.Shards)
+	case opts.Shards > 1 && (opts.ShardIndex < 0 || opts.ShardIndex >= opts.Shards):
 		return nil, sum, fmt.Errorf("experiments: shard index %d outside [0,%d)", opts.ShardIndex, opts.Shards)
 	}
 	if opts.Slice != nil && (opts.Slice.Start < 0 || opts.Slice.End < opts.Slice.Start) {
@@ -432,27 +299,11 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 		out[b] = make(map[string]stats.Run, len(keys))
 	}
 
-	store := opts.Store
-	var fileStore *checkpointFileStore
-	if store == nil && opts.Checkpoint != "" {
-		fileStore = &checkpointFileStore{path: opts.Checkpoint}
-		store = fileStore
-		defer fileStore.Close()
-	}
 	done := make(map[string]CheckpointEntry)
-	if store != nil {
-		entries, corrupt, err := store.Load()
+	if opts.Store != nil {
+		entries, _, err := opts.Store.Load()
 		if err != nil {
 			return nil, sum, err
-		}
-		sum.CorruptCheckpoint = corrupt
-		if corrupt > 0 {
-			name := opts.Checkpoint
-			if name == "" {
-				name = "result store"
-			}
-			fmt.Fprintf(os.Stderr, "warning: checkpoint %s: skipped %d corrupt line(s); the affected jobs will re-run\n",
-				name, corrupt)
 		}
 		for _, e := range entries {
 			done[e.Key()] = e
@@ -483,173 +334,153 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 	if len(pending) == 0 {
 		return out, sum, ctx.Err()
 	}
-	// There is work to run: an unwritable checkpoint path must fail now,
-	// before minutes of simulation whose results it was meant to persist.
-	if fileStore != nil {
-		if err := fileStore.open(); err != nil {
-			return nil, sum, err
-		}
-	}
 
-	// A configured Executor takes over raw pair execution (the distributed
-	// coordinator leases pair slices to remote workers); the engine keeps
-	// planning, the store, progress events, and result assembly, so reports
-	// merge byte-identically to a locally executed run.
-	if opts.Executor != nil {
-		var mu sync.Mutex
-		var firstErr error
-		req := ExecRequest{
-			Pending: make([]PairJob, len(pending)),
-			Resumed: resumed,
-		}
-		for i, j := range pending {
-			req.Pending[i] = PairJob{Index: j.index, Benchmark: j.benchmark, Config: j.key}
-		}
-		req.Emit = func(pj PairJob, run stats.Run) {
-			mu.Lock()
-			defer mu.Unlock()
-			if _, dup := out[pj.Benchmark][pj.Config]; dup {
-				return
-			}
-			out[pj.Benchmark][pj.Config] = run
-			sum.Executed++
-			e := CheckpointEntry{Experiment: opts.scope, Iterations: opts.Iterations, MaxInsts: opts.MaxInsts,
-				Benchmark: pj.Benchmark, Config: pj.Config, Run: run}
-			if store != nil {
-				if werr := store.Append(e); werr != nil && firstErr == nil {
-					firstErr = werr
-				}
-			}
-			if opts.Progress != nil {
-				opts.Progress.PairDone(e)
-			}
-		}
-		execErr := opts.Executor(ctx, req)
+	req := ExecRequest{
+		Pending: make([]PairJob, len(pending)),
+		Resumed: resumed,
+	}
+	for i, j := range pending {
+		req.Pending[i] = PairJob{Index: j.index, Benchmark: j.benchmark, Config: j.key}
+	}
+	// Emit is the one landing path for an executed pair: record its run,
+	// append it to the store, and report it. Resumed and already-delivered
+	// pairs are ignored, which makes a re-queued remote task's duplicate
+	// emissions harmless.
+	var mu sync.Mutex
+	var storeErr error
+	req.Emit = func(pj PairJob, run stats.Run) {
 		mu.Lock()
 		defer mu.Unlock()
-		if execErr == nil {
-			execErr = firstErr
+		if _, dup := out[pj.Benchmark][pj.Config]; dup {
+			return
 		}
-		if execErr == nil {
-			execErr = ctx.Err()
-		}
-		// Pairs the executor never delivered (its error names why) are the
-		// distributed analogue of failed local simulations.
-		sum.Failed = len(pending) - sum.Executed
-		return out, sum, execErr
-	}
-
-	// Generate programs up front (cheap, single-threaded, deterministic),
-	// only for benchmarks that still have pending work. Each benchmark's
-	// dynamic instruction trace is then recorded once, on first use, and
-	// shared read-only by every simulation of that benchmark. Trace-backed
-	// benchmarks have no program to generate — their recorded file is the
-	// trace — so they only contribute loaders.
-	progs := make(map[string]*program.Program, len(benchmarks))
-	loaders := make(map[string]func() (*emu.Trace, error), len(opts.traceLoaders))
-	for _, j := range pending {
-		if _, ok := progs[j.benchmark]; ok {
-			continue
-		}
-		if _, ok := loaders[j.benchmark]; ok {
-			continue
-		}
-		if load, ok := opts.traceLoaders[j.benchmark]; ok {
-			loaders[j.benchmark] = load
-			continue
-		}
-		p, err := opts.generateProgram(j.benchmark)
-		if err != nil {
-			return nil, sum, err
-		}
-		progs[j.benchmark] = p
-	}
-	traces := newTraceCache(progs, loaders, pending)
-
-	// Partition the pending pairs into execution groups: same-benchmark,
-	// same-geometry pairs run config-parallel as one batch over the shared
-	// trace. Grouping affects only how pairs are simulated — results,
-	// checkpoint entries and progress events stay per-pair, so reports are
-	// byte-identical to an ungrouped run.
-	groups := planGroups(pending)
-	for _, g := range groups {
-		if len(g.jobs) > 1 {
-			sum.BatchGroups++
-			sum.BatchedPairs += len(g.jobs)
-		}
-	}
-
-	workers := opts.workers()
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	groupCh := make(chan sweepGroup)
-	resCh := make(chan sweepResult)
-	timer, _ := opts.Progress.(PairTimer)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range groupCh {
-				start := time.Now()
-				results := runGroup(g, traces, opts)
-				// One batch simulates its members interleaved, so per-pair
-				// wall time is the group's time split evenly.
-				per := time.Since(start) / time.Duration(len(results))
-				for _, r := range results {
-					if timer != nil && r.err == nil {
-						timer.PairTimed(r.job.benchmark, r.job.key, per)
-					}
-					resCh <- r
-				}
-			}
-		}()
-	}
-	go func() {
-		defer close(groupCh)
-		for _, g := range groups {
-			select {
-			case groupCh <- g:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(resCh)
-	}()
-
-	var firstErr error
-	for r := range resCh {
-		if r.err != nil {
-			sum.Failed++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s/%s: %w", r.job.benchmark, r.job.key, r.err)
-			}
-			continue
-		}
-		out[r.job.benchmark][r.job.key] = r.run
+		out[pj.Benchmark][pj.Config] = run
 		sum.Executed++
 		e := CheckpointEntry{Experiment: opts.scope, Iterations: opts.Iterations, MaxInsts: opts.MaxInsts,
-			Benchmark: r.job.benchmark, Config: r.job.key, Run: r.run}
-		if store != nil {
-			if werr := store.Append(e); werr != nil && firstErr == nil {
-				firstErr = werr
+			Benchmark: pj.Benchmark, Config: pj.Config, Run: run}
+		if opts.Store != nil {
+			if err := opts.Store.Append(e); err != nil && storeErr == nil {
+				storeErr = err
 			}
-			if opts.afterCheckpoint != nil {
-				opts.afterCheckpoint(sum.Executed)
-			}
+		}
+		if opts.afterPair != nil {
+			opts.afterPair(sum.Executed)
 		}
 		if opts.Progress != nil {
 			opts.Progress.PairDone(e)
 		}
 	}
-	if firstErr == nil {
-		firstErr = ctx.Err()
+
+	exec := opts.Executor
+	if exec == nil {
+		exec = localExecutor(pending, opts, &sum)
 	}
-	return out, sum, firstErr
+	err := exec(ctx, req)
+	mu.Lock()
+	defer mu.Unlock()
+	if err == nil {
+		err = storeErr
+	}
+	if err == nil {
+		err = ctx.Err()
+	}
+	sum.Failed = len(pending) - sum.Executed
+	return out, sum, err
+}
+
+// localExecutor is the default Executor: it simulates the pending pairs on a
+// pool of opts.workers() goroutines, one execution group (see planGroups) at
+// a time, and counts the planned batching in sum. It returns the first
+// pair's simulation error.
+func localExecutor(pending []sweepJob, opts Options, sum *Summary) Executor {
+	return func(ctx context.Context, req ExecRequest) error {
+		// Generate programs up front (cheap, single-threaded,
+		// deterministic), only for benchmarks that still have pending work.
+		// Each benchmark's dynamic instruction trace is then recorded once,
+		// on first use, and shared read-only by every simulation of that
+		// benchmark. Trace-backed benchmarks have no program to generate —
+		// their recorded file is the trace — so they only contribute
+		// loaders.
+		progs := make(map[string]*program.Program)
+		loaders := make(map[string]func() (*emu.Trace, error), len(opts.traceLoaders))
+		for _, j := range pending {
+			if _, ok := progs[j.benchmark]; ok {
+				continue
+			}
+			if _, ok := loaders[j.benchmark]; ok {
+				continue
+			}
+			if load, ok := opts.traceLoaders[j.benchmark]; ok {
+				loaders[j.benchmark] = load
+				continue
+			}
+			p, err := opts.generateProgram(j.benchmark)
+			if err != nil {
+				return err
+			}
+			progs[j.benchmark] = p
+		}
+		traces := newTraceCache(progs, loaders, pending)
+
+		// Same-benchmark, same-geometry pairs run config-parallel as one
+		// batch over the shared trace. Grouping affects only how pairs are
+		// simulated: each pair still lands alone through req.Emit.
+		groups := planGroups(pending)
+		for _, g := range groups {
+			if len(g.jobs) > 1 {
+				sum.BatchGroups++
+				sum.BatchedPairs += len(g.jobs)
+			}
+		}
+
+		workers := opts.workers()
+		if workers > len(groups) {
+			workers = len(groups)
+		}
+		timer, _ := opts.Progress.(PairTimer)
+		groupCh := make(chan sweepGroup)
+		var mu sync.Mutex
+		var firstErr error
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for g := range groupCh {
+					start := time.Now()
+					results := runGroup(g, traces, opts)
+					// One batch simulates its members interleaved, so
+					// per-pair wall time is the group's time split evenly.
+					per := time.Since(start) / time.Duration(len(results))
+					for _, r := range results {
+						if r.err != nil {
+							mu.Lock()
+							if firstErr == nil {
+								firstErr = fmt.Errorf("%s/%s: %w", r.job.benchmark, r.job.key, r.err)
+							}
+							mu.Unlock()
+							continue
+						}
+						if timer != nil {
+							timer.PairTimed(r.job.benchmark, r.job.key, per)
+						}
+						req.Emit(PairJob{Index: r.job.index, Benchmark: r.job.benchmark, Config: r.job.key}, r.run)
+					}
+				}
+			}()
+		}
+	dispatch:
+		for _, g := range groups {
+			select {
+			case groupCh <- g:
+			case <-ctx.Done():
+				break dispatch
+			}
+		}
+		close(groupCh)
+		wg.Wait()
+		return firstErr
+	}
 }
 
 // SweepRow is one (benchmark, configuration, window) cell of the free-form

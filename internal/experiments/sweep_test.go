@@ -14,7 +14,7 @@ import (
 	"repro/internal/core"
 )
 
-// countCheckpointPairs returns how many lines the checkpoint holds for each
+// countCheckpointPairs returns how many lines the result file holds for each
 // (benchmark, config) pair — a pair that re-ran appears more than once.
 func countCheckpointPairs(t *testing.T, path string) map[string]int {
 	t.Helper()
@@ -26,11 +26,11 @@ func countCheckpointPairs(t *testing.T, path string) map[string]int {
 	counts := make(map[string]int)
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		var e CheckpointEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("malformed checkpoint line %q: %v", sc.Text(), err)
+		var rec resultRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("malformed result line %q: %v", sc.Text(), err)
 		}
-		counts[e.Key()]++
+		counts[rec.Entry.Key()]++
 	}
 	return counts
 }
@@ -39,7 +39,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 	benchmarks := []string{"gzip", "applu"}
 	cfgs := kindConfigs([]core.ConfigKind{core.Baseline, core.NoSQDelay}, 0)
 	ck := filepath.Join(t.TempDir(), "ck.jsonl")
-	opts := Options{Iterations: 25, Parallelism: 2, Checkpoint: ck}
+	opts := Options{Iterations: 25, Parallelism: 2, Store: openStore(t, ck)}
 
 	first, sum1, err := runSweep(context.Background(), benchmarks, cfgs, opts)
 	if err != nil {
@@ -49,6 +49,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 		t.Fatalf("first run summary = %+v", sum1)
 	}
 
+	opts.Store = openStore(t, ck)
 	second, sum2, err := runSweep(context.Background(), benchmarks, cfgs, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +78,8 @@ func TestSweepInterruptedResume(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := Options{Iterations: 40, Parallelism: 1, Checkpoint: ck,
-		afterCheckpoint: func(n int) {
+	opts := Options{Iterations: 40, Parallelism: 1, Store: openStore(t, ck),
+		afterPair: func(n int) {
 			if n == 1 {
 				cancel()
 			}
@@ -91,7 +92,8 @@ func TestSweepInterruptedResume(t *testing.T) {
 	if sum1.Executed == 0 || sum1.Executed == total {
 		t.Fatalf("interruption did not land mid-sweep: %+v", sum1)
 	}
-	opts.afterCheckpoint = nil
+	opts.afterPair = nil
+	opts.Store = openStore(t, ck)
 
 	res, sum2, err := runSweep(context.Background(), benchmarks, cfgs, opts)
 	if err != nil {
@@ -131,7 +133,7 @@ func TestSweepShardsPartitionJobs(t *testing.T) {
 	for shard := 0; shard < 3; shard++ {
 		ck := filepath.Join(dir, "shard.jsonl")
 		os.Remove(ck)
-		opts := Options{Iterations: 25, Parallelism: 2, Shards: 3, ShardIndex: shard, Checkpoint: ck}
+		opts := Options{Iterations: 25, Parallelism: 2, Shards: 3, ShardIndex: shard, Store: openStore(t, ck)}
 		_, sum, err := runSweep(context.Background(), benchmarks, cfgs, opts)
 		if err != nil {
 			t.Fatalf("shard %d: %v", shard, err)
@@ -145,15 +147,23 @@ func TestSweepShardsPartitionJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		mf.Write(b)
+		if shard == 0 {
+			mf.Write(b) // a file concatenated twice duplicates its lines
+		}
 	}
 	mf.Close()
 	if executed != total {
 		t.Fatalf("shards executed %d jobs in total, want %d (overlap or gap)", executed, total)
 	}
 
-	// The merged checkpoint replays the full grid with zero execution.
+	// The merged file replays the full grid with zero execution, each
+	// duplicated pair resident once.
+	store := openStore(t, merged)
+	if store.Len() != total {
+		t.Fatalf("merged store holds %d entries, want %d", store.Len(), total)
+	}
 	res, sum, err := runSweep(context.Background(), benchmarks, cfgs,
-		Options{Iterations: 25, Checkpoint: merged})
+		Options{Iterations: 25, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +187,7 @@ func TestShardedFigureDropsIncompleteBenchmarks(t *testing.T) {
 	merged := filepath.Join(dir, "merged.jsonl")
 	for shard := 0; shard < 2; shard++ {
 		opts := Options{Iterations: 10, Benchmarks: benchmarks, Parallelism: 2,
-			Shards: 2, ShardIndex: shard, Checkpoint: merged}
+			Shards: 2, ShardIndex: shard, Store: openStore(t, merged)}
 		_, rows, sum, err := relativeTimeFigure(context.Background(), "t", opts, false, 128)
 		if err != nil {
 			t.Fatalf("shard %d: %v", shard, err)
@@ -194,7 +204,7 @@ func TestShardedFigureDropsIncompleteBenchmarks(t *testing.T) {
 	// The second shard resumed the first's pairs from the shared checkpoint,
 	// so it already rendered the full table; a plain replay must too.
 	_, rows, sum, err := relativeTimeFigure(context.Background(), "t",
-		Options{Iterations: 10, Benchmarks: benchmarks, Checkpoint: merged}, false, 128)
+		Options{Iterations: 10, Benchmarks: benchmarks, Store: openStore(t, merged)}, false, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +228,7 @@ func TestShardedFigureDropsIncompleteBenchmarks(t *testing.T) {
 // different windows).
 func TestCheckpointScopedPerExperiment(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "shared.jsonl")
-	opts := Options{Iterations: 10, Benchmarks: []string{"gzip"}, Parallelism: 2, Checkpoint: ck}
+	opts := Options{Iterations: 10, Benchmarks: []string{"gzip"}, Parallelism: 2, Store: openStore(t, ck)}
 
 	_, _, sum2, err := relativeTimeFigure(context.Background(), "f2", opts, false, 128)
 	if err != nil {
@@ -254,7 +264,7 @@ func TestCheckpointScopedByIterations(t *testing.T) {
 	cfgs := kindConfigs([]core.ConfigKind{core.Baseline}, 0)
 	run := func(iters int) Summary {
 		_, sum, err := runSweep(context.Background(), []string{"gzip"}, cfgs,
-			Options{Iterations: iters, Checkpoint: ck})
+			Options{Iterations: iters, Store: openStore(t, ck)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,11 +283,29 @@ func TestCheckpointScopedByIterations(t *testing.T) {
 
 func TestSweepShardValidation(t *testing.T) {
 	cfgs := kindConfigs([]core.ConfigKind{core.Baseline}, 0)
-	for _, idx := range []int{-1, 2, 7} {
+	for _, tc := range []struct {
+		shards, index int
+		ok            bool
+	}{
+		{shards: 2, index: -1},
+		{shards: 2, index: 2},
+		{shards: 2, index: 7},
+		// A shard index without sharding used to run the whole grid.
+		{shards: 1, index: 3},
+		{shards: 0, index: 1},
+		{shards: -4, index: -9},
+		{shards: -1, index: 0},
+		{shards: 0, index: 0, ok: true},
+		{shards: 1, index: 0, ok: true},
+		{shards: 2, index: 1, ok: true},
+	} {
 		_, _, err := runSweep(context.Background(), []string{"gzip"}, cfgs,
-			Options{Iterations: 5, Shards: 2, ShardIndex: idx})
-		if err == nil {
-			t.Errorf("shard index %d of 2 should be rejected", idx)
+			Options{Iterations: 5, Shards: tc.shards, ShardIndex: tc.index})
+		if tc.ok && err != nil {
+			t.Errorf("shard %d of %d: %v", tc.index, tc.shards, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("shard %d of %d should be rejected", tc.index, tc.shards)
 		}
 	}
 }
@@ -290,7 +318,7 @@ func TestSweepToleratesCorruptCheckpointLine(t *testing.T) {
 	}
 	cfgs := kindConfigs([]core.ConfigKind{core.Baseline}, 0)
 	_, sum, err := runSweep(context.Background(), []string{"gzip"}, cfgs,
-		Options{Iterations: 5, Checkpoint: ck})
+		Options{Iterations: 5, Store: openStore(t, ck)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +372,7 @@ func TestSweepDeterministicOrdering(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		ck := filepath.Join(t.TempDir(), "ck.jsonl")
 		_, sum, err := runSweep(context.Background(), benchmarks, cfgs,
-			Options{Iterations: 10, Parallelism: 2, Shards: 3, ShardIndex: 1, Checkpoint: ck})
+			Options{Iterations: 10, Parallelism: 2, Shards: 3, ShardIndex: 1, Store: openStore(t, ck)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,41 +386,42 @@ func TestSweepDeterministicOrdering(t *testing.T) {
 	}
 }
 
-// TestSweepCorruptCheckpointLines: a checkpoint holding truncated or
+// TestSweepCorruptCheckpointLines: a result file holding truncated or
 // otherwise malformed JSONL lines (the writing process was killed mid-line)
-// must not abort or poison a resume. Corrupt lines are counted and skipped —
-// their jobs re-run — while intact lines still resume.
+// must not abort or poison a resume. Corrupt lines are counted when the file
+// is opened and skipped — their jobs re-run — while intact lines still
+// resume.
 func TestSweepCorruptCheckpointLines(t *testing.T) {
 	benchmarks := []string{"gzip", "applu"}
 	cfgs := kindConfigs([]core.ConfigKind{core.Baseline, core.NoSQDelay}, 0)
 	ck := filepath.Join(t.TempDir(), "ck.jsonl")
-	opts := Options{Iterations: 25, Parallelism: 2, Checkpoint: ck}
+	opts := Options{Iterations: 25, Parallelism: 2, Store: openStore(t, ck)}
 
 	first, sum1, err := runSweep(context.Background(), benchmarks, cfgs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum1.Executed != 4 || sum1.CorruptCheckpoint != 0 {
+	if sum1.Executed != 4 {
 		t.Fatalf("first run summary = %+v", sum1)
 	}
 
 	// Corrupt the file: truncate the last line mid-JSON (as a kill during a
-	// write would), and splice in garbage plus a valid-JSON line missing its
-	// identifying fields.
+	// write would), and splice in garbage plus a valid-JSON record of this
+	// revision missing its entry's identifying fields.
 	b, err := os.ReadFile(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSuffix(b, []byte("\n")), []byte("\n"))
 	if len(lines) != 4 {
-		t.Fatalf("checkpoint has %d lines, want 4", len(lines))
+		t.Fatalf("result file has %d lines, want 4", len(lines))
 	}
 	truncated := lines[3][:len(lines[3])/2]
 	corrupted := bytes.Join([][]byte{
 		lines[0],
 		[]byte("{not json at all"),
 		lines[1],
-		[]byte(`{"run":{"cycles":12}}`), // parses, but has no benchmark/config
+		[]byte(`{"key":"k","code_rev":"` + testRev + `","entry":{"run":{"cycles":12}}}`),
 		lines[2],
 		truncated,
 	}, []byte("\n"))
@@ -401,12 +430,18 @@ func TestSweepCorruptCheckpointLines(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	store, corrupt, err := OpenResultFile(ck, testRev)
+	if err != nil {
+		t.Fatalf("opening corrupt result file failed: %v", err)
+	}
+	defer store.Close()
+	if corrupt != 3 {
+		t.Errorf("corrupt = %d, want 3 (garbage, fieldless, truncated)", corrupt)
+	}
+	opts.Store = store
 	second, sum2, err := runSweep(context.Background(), benchmarks, cfgs, opts)
 	if err != nil {
-		t.Fatalf("resume over corrupt checkpoint failed: %v", err)
-	}
-	if sum2.CorruptCheckpoint != 3 {
-		t.Errorf("CorruptCheckpoint = %d, want 3 (garbage, fieldless, truncated)", sum2.CorruptCheckpoint)
+		t.Fatalf("resume over corrupt result file failed: %v", err)
 	}
 	if sum2.Resumed != 3 {
 		t.Errorf("Resumed = %d, want the 3 intact pairs", sum2.Resumed)
@@ -415,6 +450,6 @@ func TestSweepCorruptCheckpointLines(t *testing.T) {
 		t.Errorf("Executed = %d, want 1 (the pair whose line was truncated)", sum2.Executed)
 	}
 	if !reflect.DeepEqual(first, second) {
-		t.Error("results after corrupt-checkpoint resume differ from the original run")
+		t.Error("results after corrupt-file resume differ from the original run")
 	}
 }

@@ -241,13 +241,12 @@ func (j *job) rendered(format string) (string, bool) {
 	return text, ok
 }
 
-// jobSink adapts a job (plus the shared cache and metrics counters) to
+// jobSink adapts a job (plus the server's metrics counters) to
 // experiments.ProgressSink.
 type jobSink struct {
-	j     *job
-	cache *ResultCache
-	m     *metrics
-	prom  *promMetrics
+	j    *job
+	m    *metrics
+	prom *promMetrics
 	// replan marks the in-process fallback re-run after a lost fleet: its
 	// plan is skipped entirely — the first plan already recorded the job's
 	// true cache hits, and pairs delivered remotely in between would
@@ -262,12 +261,12 @@ func (s *jobSink) Planned(total, resumed, skippedShard, pending int) {
 	}
 	// Server jobs run unsharded with the shared cache as their only store, so
 	// every resumed pair is a cache hit.
-	s.cache.RecordHits(uint64(resumed))
+	s.m.cacheHits.Add(uint64(resumed))
 	s.j.planned(total, resumed, pending, time.Now())
 }
 
 func (s *jobSink) PairDone(e experiments.CheckpointEntry) {
-	s.cache.RecordMisses(1)
+	s.m.cacheMisses.Add(1)
 	s.m.insts.Add(e.Run.Committed)
 	if s.prom != nil {
 		s.prom.pairDone(e.Config, e.Run.Flushes, e.Run.BypassMispredictions, e.Run.Committed)

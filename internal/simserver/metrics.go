@@ -5,11 +5,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/simapi"
 )
 
-// metrics holds the server's cumulative counters behind /metricsz. Cache
-// counters live on the ResultCache itself; everything else is here.
+// metrics holds the server's cumulative counters behind /metricsz.
 type metrics struct {
 	start time.Time
 
@@ -18,6 +18,11 @@ type metrics struct {
 	done      atomic.Uint64
 	failed    atomic.Uint64
 	canceled  atomic.Uint64
+
+	// cacheHits counts pairs served from the result cache; cacheMisses
+	// counts pairs simulated because it missed.
+	cacheHits   atomic.Uint64
+	cacheMisses atomic.Uint64
 
 	insts atomic.Uint64
 
@@ -62,7 +67,7 @@ func (m *metrics) busyState() (busy int, total time.Duration) {
 }
 
 // snapshot assembles the /metricsz document.
-func (m *metrics) snapshot(queueDepth, workers int, cache *ResultCache, codeRev string, fleet fleetStats) simapi.Metrics {
+func (m *metrics) snapshot(queueDepth, workers int, cache *experiments.ResultFile, codeRev string, fleet fleetStats) simapi.Metrics {
 	busy, busyTotal := m.busyState()
 	util := 0.0
 	if workers > 0 {
@@ -73,6 +78,11 @@ func (m *metrics) snapshot(queueDepth, workers int, cache *ResultCache, codeRev 
 	ips := 0.0
 	if busySec > 0 {
 		ips = float64(insts) / busySec
+	}
+	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
+	hitRate := 0.0
+	if hits+misses > 0 {
+		hitRate = float64(hits) / float64(hits+misses)
 	}
 	return simapi.Metrics{
 		UptimeSeconds:     time.Since(m.start).Seconds(),
@@ -87,9 +97,9 @@ func (m *metrics) snapshot(queueDepth, workers int, cache *ResultCache, codeRev 
 		JobsFailed:        m.failed.Load(),
 		JobsCanceled:      m.canceled.Load(),
 		CacheEntries:      cache.Len(),
-		CacheHits:         cache.Hits(),
-		CacheMisses:       cache.Misses(),
-		CacheHitRate:      cache.HitRate(),
+		CacheHits:         hits,
+		CacheMisses:       misses,
+		CacheHitRate:      hitRate,
 		InstsSimulated:    insts,
 		InstsPerSecond:    ips,
 		RemoteWorkers:     fleet.workers,

@@ -69,8 +69,8 @@ func newPromMetrics(s *Server) *promMetrics {
 	// Result cache.
 	r.GaugeFunc("nosq_cache_entries", "Entries resident in the result cache.",
 		func() float64 { return float64(s.cache.Len()) })
-	r.CounterFunc("nosq_cache_hits_total", "Pairs served from the result cache.", s.cache.Hits)
-	r.CounterFunc("nosq_cache_misses_total", "Pairs simulated because the cache missed.", s.cache.Misses)
+	r.CounterFunc("nosq_cache_hits_total", "Pairs served from the result cache.", s.metrics.cacheHits.Load)
+	r.CounterFunc("nosq_cache_misses_total", "Pairs simulated because the cache missed.", s.metrics.cacheMisses.Load)
 
 	r.CounterFunc("nosq_insts_simulated_total",
 		"Committed instructions across all executed pairs.", s.metrics.insts.Load)

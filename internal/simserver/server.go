@@ -55,7 +55,8 @@ type Config struct {
 	// CachePath persists the result cache as JSONL ("" = memory-only).
 	CachePath string
 	// CodeRev overrides the binary's detected code revision (tests only;
-	// "" = CodeRevision()).
+	// "" = obs.CodeRevision()). Result-cache records are keyed by it, so a
+	// cache written by one build never serves another.
 	CodeRev string
 	// MaxIterations rejects specs asking for longer workloads (0 = no cap).
 	// A shared server would otherwise let one client monopolize the pool.
@@ -120,7 +121,7 @@ type Config struct {
 type Server struct {
 	cfg      Config
 	rev      string
-	cache    *ResultCache
+	cache    *experiments.ResultFile
 	queue    *jobQueue
 	metrics  *metrics
 	prom     *promMetrics
@@ -187,9 +188,9 @@ func New(cfg Config) (s *Server, corrupt int, err error) {
 	}
 	rev := cfg.CodeRev
 	if rev == "" {
-		rev = CodeRevision()
+		rev = obs.CodeRevision()
 	}
-	cache, corrupt, err := OpenResultCache(cfg.CachePath, rev)
+	cache, corrupt, err := experiments.OpenResultFile(cfg.CachePath, rev)
 	if err != nil {
 		return nil, corrupt, err
 	}
@@ -309,7 +310,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // Cache exposes the result cache (metrics, tests).
-func (s *Server) Cache() *ResultCache { return s.cache }
+func (s *Server) Cache() *experiments.ResultFile { return s.cache }
 
 func (s *Server) logf(format string, args ...interface{}) {
 	if s.cfg.Logf != nil {
@@ -550,7 +551,7 @@ func (s *Server) runJob(j *job) {
 	opts := j.spec.Options()
 	opts.Parallelism = s.cfg.Parallelism
 	opts.Store = timedStore{store: s.cache, h: s.prom.cacheLookup}
-	sink := &jobSink{j: j, cache: s.cache, m: s.metrics, prom: s.prom}
+	sink := &jobSink{j: j, m: s.metrics, prom: s.prom}
 	opts.Progress = sink
 	// With remote workers registered, this worker coordinates instead of
 	// simulating: the sweep engine hands its pending pairs to the dispatcher,

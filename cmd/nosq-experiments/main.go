@@ -89,6 +89,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-parallel must be non-negative (0 = GOMAXPROCS), got %d\n", *parallel)
 		os.Exit(2)
 	}
+	if err := experiments.ValidateShards(*shards, *shardIndex); err != nil {
+		fmt.Fprintf(os.Stderr, "bad -shards/-shard-index: %v\n", err)
+		os.Exit(2)
+	}
 
 	opts := experiments.Options{
 		Iterations:  *iters,

@@ -651,14 +651,15 @@ func jsonSection(t *testing.T, doc []byte, key string) interface{} {
 	return m[key]
 }
 
-// TestFlagValidationIntegration: both binaries must exit non-zero with a
-// clear message on non-positive -workers/-poll-interval instead of hanging
-// or spinning.
+// TestFlagValidationIntegration: the binaries must exit 2 with a clear
+// message on bad flag values — non-positive -workers/-poll-interval instead
+// of hanging or spinning, and bad shard flags before any experiment starts.
 func TestFlagValidationIntegration(t *testing.T) {
 	dir := t.TempDir()
 	serverBin := filepath.Join(dir, "nosq-server")
 	workerBin := filepath.Join(dir, "nosq-worker")
-	for bin, pkg := range map[string]string{serverBin: "../nosq-server", workerBin: "."} {
+	expBin := filepath.Join(dir, "nosq-experiments")
+	for bin, pkg := range map[string]string{serverBin: "../nosq-server", workerBin: ".", expBin: "../nosq-experiments"} {
 		build := exec.Command("go", "build", "-o", bin, pkg)
 		if out, err := build.CombinedOutput(); err != nil {
 			t.Fatalf("building %s: %v\n%s", pkg, err, out)
@@ -675,12 +676,14 @@ func TestFlagValidationIntegration(t *testing.T) {
 		{workerBin, []string{"-server", "http://127.0.0.1:1", "-poll-interval", "0s"}, "-poll-interval must be positive"},
 		{workerBin, []string{"-server", "http://127.0.0.1:1", "-parallel", "0"}, "-parallel must be positive"},
 		{workerBin, []string{}, "-server is required"},
+		{expBin, []string{"-exp", "table5", "-shards", "1", "-shard-index", "3"}, "shard index 3 needs a shard count above 1"},
+		{expBin, []string{"-exp", "table5", "-shards", "-4", "-shard-index", "-9"}, "negative shard count"},
 	}
 	for _, tc := range cases {
 		cmd := exec.Command(tc.bin, tc.args...)
 		out, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Errorf("%s %v: exited 0, want failure", filepath.Base(tc.bin), tc.args)
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 2 {
+			t.Errorf("%s %v: exited %d (%v), want 2", filepath.Base(tc.bin), tc.args, code, err)
 			continue
 		}
 		if !strings.Contains(string(out), tc.want) {

@@ -14,10 +14,11 @@
 // paper as text, Markdown, JSON, or CSV, with sharded and
 // checkpoint-resumable sweeps.
 //
-// Simulation throughput is measured by the perf harness (perf), which runs a
-// pinned benchmark grid over shared recorded traces (emu.Trace +
-// pipeline.NewBatch) and emits BENCH_<rev>.json documents that CI gates
-// against the committed baseline under bench/.
+// Simulation speed is measured end to end by the perfbench module (its own
+// Go module under perfbench/, driven through BENCHMARK.json), which runs the
+// paper experiments, the simulation service and a worker fleet the way users
+// do. Allocations per committed instruction, the one hardware-independent
+// performance property, are bounded by a tier-1 test in pipeline.
 //
 // The simulation service (simserver, with the simapi wire types and the
 // simclient typed client; command cmd/nosq-server) runs experiments as a
@@ -27,9 +28,11 @@
 //
 // The command-line drivers are cmd/nosqsim (one simulation),
 // cmd/nosq-experiments (the experiment registry), cmd/nosq-server (the
-// simulation service), and cmd/nosq-bench (the perf harness). See README.md
-// for a tour, quickstart, and the performance methodology, and DESIGN.md for
-// the system inventory and the NoSQ vs. conventional pipeline data flow.
+// simulation service), cmd/nosq-worker (a remote worker), cmd/nosq-trace
+// (trace recording) and cmd/nosq-tune (adversarial scenario search). See
+// README.md for a tour, quickstart, and the performance methodology, and
+// DESIGN.md for the system inventory and the NoSQ vs. conventional pipeline
+// data flow.
 //
 // This root package holds the repository-level benchmark harness
 // (bench_test.go): one benchmark per table/figure plus ablation and

@@ -38,7 +38,7 @@ import (
 // binaries are the user-facing commands whose -help output is diffed against
 // README.md's command-line reference tables.
 var binaries = []string{
-	"nosqsim", "nosq-experiments", "nosq-server", "nosq-worker", "nosq-bench", "nosq-tune", "nosq-trace",
+	"nosqsim", "nosq-experiments", "nosq-server", "nosq-worker", "nosq-tune", "nosq-trace",
 }
 
 // docs are the markdown documents whose links are checked.

@@ -240,6 +240,21 @@ type PairTimer interface {
 	PairTimed(benchmark, config string, wall time.Duration)
 }
 
+// ValidateShards checks an Options.Shards/ShardIndex pair: a shard count of
+// 0 or 1 means no sharding and takes no index, and a count above 1 needs an
+// index in [0, shards).
+func ValidateShards(shards, index int) error {
+	switch {
+	case shards < 0:
+		return fmt.Errorf("experiments: negative shard count %d", shards)
+	case shards <= 1 && index != 0:
+		return fmt.Errorf("experiments: shard index %d needs a shard count above 1, got %d", index, shards)
+	case shards > 1 && (index < 0 || index >= shards):
+		return fmt.Errorf("experiments: shard index %d outside [0,%d)", index, shards)
+	}
+	return nil
+}
+
 // runSweep is the sweep engine behind every experiment: it runs each
 // (benchmark, configuration) pair through the simulator, by default on the
 // local worker pool (localExecutor), generating each benchmark's program
@@ -268,13 +283,8 @@ type PairTimer interface {
 // are recorded in the store, and runSweep returns ctx.Err().
 func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline.Config, opts Options) (map[string]map[string]stats.Run, Summary, error) {
 	var sum Summary
-	switch {
-	case opts.Shards < 0:
-		return nil, sum, fmt.Errorf("experiments: negative shard count %d", opts.Shards)
-	case opts.Shards <= 1 && opts.ShardIndex != 0:
-		return nil, sum, fmt.Errorf("experiments: shard index %d needs a shard count above 1, got %d", opts.ShardIndex, opts.Shards)
-	case opts.Shards > 1 && (opts.ShardIndex < 0 || opts.ShardIndex >= opts.Shards):
-		return nil, sum, fmt.Errorf("experiments: shard index %d outside [0,%d)", opts.ShardIndex, opts.Shards)
+	if err := ValidateShards(opts.Shards, opts.ShardIndex); err != nil {
+		return nil, sum, err
 	}
 	if opts.Slice != nil && (opts.Slice.Start < 0 || opts.Slice.End < opts.Slice.Start) {
 		return nil, sum, fmt.Errorf("experiments: invalid pair slice [%d,%d)", opts.Slice.Start, opts.Slice.End)

@@ -299,14 +299,18 @@ func TestSweepShardValidation(t *testing.T) {
 		{shards: 1, index: 0, ok: true},
 		{shards: 2, index: 1, ok: true},
 	} {
-		_, _, err := runSweep(context.Background(), []string{"gzip"}, cfgs,
-			Options{Iterations: 5, Shards: tc.shards, ShardIndex: tc.index})
+		err := ValidateShards(tc.shards, tc.index)
 		if tc.ok && err != nil {
 			t.Errorf("shard %d of %d: %v", tc.index, tc.shards, err)
 		}
 		if !tc.ok && err == nil {
 			t.Errorf("shard %d of %d should be rejected", tc.index, tc.shards)
 		}
+	}
+	// The engine applies the same rules before it plans anything.
+	if _, _, err := runSweep(context.Background(), []string{"gzip"}, cfgs,
+		Options{Iterations: 5, Shards: 1, ShardIndex: 3}); err == nil {
+		t.Error("runSweep accepted shard 3 of 1")
 	}
 }
 

@@ -1,39 +1,76 @@
 package obs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"runtime"
 	"runtime/debug"
+	"sync"
 )
 
 // CodeRevision returns the VCS revision the binary was built from, or "dev"
-// when none is recorded (go test, go run from a non-VCS tree). A dirty tree
-// gets a "-dirty" suffix: it is a different build than the clean commit and
-// must not be conflated with it — the result cache and scrape labels both
-// key on this value.
-func CodeRevision() string {
+// when none is recorded (go test, go run from a non-VCS tree). The result
+// cache and scrape labels both key on this value, so two different builds
+// must never share one. A build from a dirty tree differs from the clean
+// commit, and two uncommitted edits differ from each other, so such a
+// build's revision carries a "-dirty-" suffix with a short hash of the
+// running executable. The value is computed once per process.
+func CodeRevision() string { return codeRevision() }
+
+var codeRevision = sync.OnceValue(func() string {
+	var settings []debug.BuildSetting
 	if info, ok := debug.ReadBuildInfo(); ok {
-		rev, dirty := "", false
-		for _, s := range info.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				rev = s.Value
-			case "vcs.modified":
-				dirty = s.Value == "true"
-			}
-		}
-		if rev != "" {
-			if dirty {
-				return rev + "-dirty"
-			}
-			return rev
+		settings = info.Settings
+	}
+	return revisionFrom(settings, executableHash)
+})
+
+// revisionFrom derives the code revision from a binary's VCS build settings.
+// exeHash is consulted only for a dirty tree, the one case whose commit does
+// not identify the code.
+func revisionFrom(settings []debug.BuildSetting, exeHash func() string) string {
+	rev, dirty := "", false
+	for _, s := range settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
 		}
 	}
-	return "dev"
+	switch {
+	case rev == "":
+		return "dev"
+	case dirty:
+		return rev + "-dirty-" + exeHash()
+	default:
+		return rev
+	}
+}
+
+// executableHash returns the first 12 hex digits of the running
+// executable's SHA-256, or "unknown" when the file cannot be read.
+func executableHash() string {
+	path, err := os.Executable()
+	if err != nil {
+		return "unknown"
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "unknown"
+	}
+	return hex.EncodeToString(h.Sum(nil))[:12]
 }
 
 // Build identifies one binary build: the code revision and the Go toolchain

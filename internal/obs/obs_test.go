@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"net/http"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -331,6 +332,55 @@ func TestBuildInfo(t *testing.T) {
 	PrintVersion(&sb, "tool")
 	if !strings.Contains(sb.String(), "tool revision "+b.CodeRev) {
 		t.Fatalf("PrintVersion output %q", sb.String())
+	}
+}
+
+// TestRevisionFrom covers clean, dirty and VCS-less builds. Only a dirty
+// build consults the executable hash, so two uncommitted edits of one commit
+// get different revisions while a clean build pays no hashing.
+func TestRevisionFrom(t *testing.T) {
+	const commit = "0123456789abcdef"
+	vcs := func(modified string) []debug.BuildSetting {
+		return []debug.BuildSetting{
+			{Key: "vcs", Value: "git"},
+			{Key: "vcs.revision", Value: commit},
+			{Key: "vcs.modified", Value: modified},
+		}
+	}
+	hashed := 0
+	hash := func(h string) func() string {
+		return func() string { hashed++; return h }
+	}
+	for _, tc := range []struct {
+		name     string
+		settings []debug.BuildSetting
+		exeHash  string
+		want     string
+		hashes   int
+	}{
+		{name: "clean", settings: vcs("false"), exeHash: "aaaa", want: commit},
+		{name: "dirty", settings: vcs("true"), exeHash: "aaaa", want: commit + "-dirty-aaaa", hashes: 1},
+		{name: "other dirty edit", settings: vcs("true"), exeHash: "bbbb", want: commit + "-dirty-bbbb", hashes: 1},
+		{name: "no vcs", settings: []debug.BuildSetting{{Key: "GOOS", Value: "linux"}}, want: "dev"},
+		{name: "no build info", want: "dev"},
+	} {
+		hashed = 0
+		if got := revisionFrom(tc.settings, hash(tc.exeHash)); got != tc.want {
+			t.Errorf("%s: revision %q, want %q", tc.name, got, tc.want)
+		}
+		if hashed != tc.hashes {
+			t.Errorf("%s: executable hashed %d times, want %d", tc.name, hashed, tc.hashes)
+		}
+	}
+}
+
+func TestExecutableHash(t *testing.T) {
+	h := executableHash()
+	if len(h) != 12 || strings.Trim(h, "0123456789abcdef") != "" {
+		t.Fatalf("executable hash %q, want 12 hex digits", h)
+	}
+	if again := executableHash(); again != h {
+		t.Fatalf("executable hash changed between calls: %q then %q", h, again)
 	}
 }
 

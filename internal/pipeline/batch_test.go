@@ -141,7 +141,7 @@ func TestNewMatchesBatch(t *testing.T) {
 
 // benchTraceAndConfigs records one trace (gzip by default; PIPELINE_BENCH
 // selects another workload for targeted profiling) and the full five-config
-// grid the perf harness batches, shared by the two benchmarks below.
+// grid a sweep batches, shared by the two benchmarks below.
 func benchTraceAndConfigs(b *testing.B) (*emu.Trace, *TraceMeta, []Config) {
 	b.Helper()
 	bench := os.Getenv("PIPELINE_BENCH")
@@ -171,8 +171,9 @@ func runBatch(b *testing.B, trace *emu.Trace, meta *TraceMeta, cfgs []Config) {
 
 // BenchmarkBatchRun and BenchmarkScalarRun measure the same five-config
 // grid interleaved in one batch and one configuration at a time; their
-// ratio is what sharing the trace region buys on one benchmark
-// (cmd/nosq-bench measures it across the fig2 subset).
+// ratio is what sharing the trace region buys on one benchmark. The trace
+// stays warm across both, so the ratio understates what batching saves a
+// whole sweep, which perfbench's paper-figures workload measures.
 func BenchmarkBatchRun(b *testing.B) {
 	trace, meta, cfgs := benchTraceAndConfigs(b)
 	b.ResetTimer()

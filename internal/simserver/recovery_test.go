@@ -219,7 +219,7 @@ func TestServerWALCompaction(t *testing.T) {
 	if _, err := cl.Wait(ctx, info.ID); err != nil {
 		t.Fatal(err)
 	}
-	// Wait observes the terminal state slightly before finishAccounting runs
+	// Wait observes the terminal state slightly before persistFinish runs
 	// compaction; poll briefly instead of racing it.
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.wal.AppendsSinceCompact() != 0 {

@@ -282,9 +282,7 @@ func (s *Server) reaperLoop() {
 // (or ctx), and closes the result cache.
 func (s *Server) Shutdown(ctx context.Context) error {
 	for _, j := range s.queue.close() {
-		if j.markCanceledQueued(time.Now()) {
-			s.finishAccounting(j, simapi.StateCanceled)
-		}
+		s.cancelQueued(j)
 	}
 	s.stop() // cancels every running job's context
 	doneCh := make(chan struct{})
@@ -392,8 +390,9 @@ func (s *Server) Submit(spec simapi.JobSpec, client string) (simapi.JobInfo, err
 	}
 
 	s.mu.Lock()
-	// A job publishes its terminal state before finishAccounting releases
-	// its dedup slot, so the slot may still name a job that has finished:
+	// A job canceled while queued publishes its terminal state before
+	// releaseJob frees its dedup slot, so the slot may still name a job that
+	// has finished:
 	// only a queued or running job absorbs the submission. A new job takes
 	// the slot over, and the finished job's accounting leaves it alone.
 	if id, ok := s.active[hash]; ok {
@@ -437,8 +436,7 @@ func (s *Server) Submit(spec simapi.JobSpec, client string) (simapi.JobInfo, err
 	if !s.queue.push(j) {
 		// Shutdown closed the queue between registration and push: no worker
 		// will ever see the job, so dispose of it and refuse the submission.
-		j.markCanceledQueued(time.Now())
-		s.finishAccounting(j, simapi.StateCanceled)
+		s.cancelQueued(j)
 		return simapi.JobInfo{}, ErrShuttingDown
 	}
 	s.metrics.submitted.Add(1)
@@ -498,8 +496,7 @@ func (s *Server) Cancel(id string) (simapi.JobInfo, bool) {
 	}
 	// Queued: take it out of the queue and mark it directly. Running: cancel
 	// its context and let the worker record the terminal state.
-	if s.queue.remove(j) && j.markCanceledQueued(time.Now()) {
-		s.finishAccounting(j, simapi.StateCanceled)
+	if s.queue.remove(j) && s.cancelQueued(j) {
 		s.logf("canceled %s while queued", j.id)
 	} else if j.requestCancel() {
 		s.logf("cancel requested for running %s", j.id)
@@ -526,9 +523,7 @@ func (s *Server) runJob(j *job) {
 	if !j.start(cancel, now) {
 		// Canceled between pop and start: record the terminal state here,
 		// since no worker will.
-		if j.markCanceledQueued(time.Now()) {
-			s.finishAccounting(j, simapi.StateCanceled)
-		}
+		s.cancelQueued(j)
 		return
 	}
 	s.mu.Lock()
@@ -544,8 +539,7 @@ func (s *Server) runJob(j *job) {
 
 	exp, err := experiments.Lookup(j.spec.Experiment)
 	if err != nil {
-		j.finish(simapi.StateFailed, err.Error(), nil, time.Now())
-		s.finishAccounting(j, simapi.StateFailed)
+		s.finishRun(j, simapi.StateFailed, err.Error(), nil)
 		return
 	}
 	opts := j.spec.Options()
@@ -576,26 +570,45 @@ func (s *Server) runJob(j *job) {
 	}
 	switch {
 	case err == nil:
-		j.finish(simapi.StateDone, "", rep, time.Now())
-		s.finishAccounting(j, simapi.StateDone)
+		s.finishRun(j, simapi.StateDone, "", rep)
 		s.logf("finished %s in %v", j.id, time.Since(startT).Round(time.Millisecond))
 	case errors.Is(err, context.Canceled):
-		j.finish(simapi.StateCanceled, "", nil, time.Now())
-		s.finishAccounting(j, simapi.StateCanceled)
+		s.finishRun(j, simapi.StateCanceled, "", nil)
 		s.logf("canceled %s", j.id)
 	default:
-		j.finish(simapi.StateFailed, err.Error(), nil, time.Now())
-		s.finishAccounting(j, simapi.StateFailed)
+		s.finishRun(j, simapi.StateFailed, err.Error(), nil)
 		s.logf("failed %s: %v", j.id, err)
 	}
 }
 
-// finishAccounting updates terminal-state counters, releases the job's
-// dedup slot and quota reservation, persists the terminal WAL record, and
-// evicts the oldest terminal jobs past the retention cap — without it a
-// long-lived server's job registry (and every job's event log) would grow
-// forever.
-func (s *Server) finishAccounting(j *job, state string) {
+// finishRun ends a started job. The job leaves the server's books before
+// it publishes its terminal state, so a client that sees the job finish also
+// sees what it left behind: counters updated, dedup slot and quota released,
+// old jobs evicted. Only the job's own worker finishes a started job, so
+// nothing can race it to the terminal state in between.
+func (s *Server) finishRun(j *job, state, errMsg string, rep *experiments.Report) {
+	s.releaseJob(j, state)
+	j.finish(state, errMsg, rep, time.Now())
+	s.persistFinish(j, state)
+}
+
+// cancelQueued records the terminal state of a job that never started. The
+// state transition guards against a second cancellation, so here it comes
+// before the release. It reports whether the job was still queued.
+func (s *Server) cancelQueued(j *job) bool {
+	if !j.markCanceledQueued(time.Now()) {
+		return false
+	}
+	s.releaseJob(j, simapi.StateCanceled)
+	s.persistFinish(j, simapi.StateCanceled)
+	return true
+}
+
+// releaseJob updates terminal-state counters, releases the job's dedup slot
+// and quota reservation, and evicts the oldest terminal jobs past the
+// retention cap — without it a long-lived server's job registry (and every
+// job's event log) would grow forever.
+func (s *Server) releaseJob(j *job, state string) {
 	switch state {
 	case simapi.StateDone:
 		s.metrics.done.Add(1)
@@ -603,6 +616,34 @@ func (s *Server) finishAccounting(j *job, state string) {
 		s.metrics.failed.Add(1)
 	case simapi.StateCanceled:
 		s.metrics.canceled.Add(1)
+	}
+	started := !j.info().Started.IsZero()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tenants.jobFinished(j.client, started)
+	if s.active[j.specHash] == j.id {
+		delete(s.active, j.specHash)
+	}
+	s.finished = append(s.finished, j)
+	for len(s.finished) > s.cfg.MaxFinishedJobs {
+		old := s.finished[0]
+		s.finished = s.finished[1:]
+		delete(s.jobs, old.id)
+		for i, oj := range s.order {
+			if oj == old {
+				s.order = append(s.order[:i], s.order[i+1:]...)
+				break
+			}
+		}
+	}
+}
+
+// persistFinish logs a job's published terminal state and compacts the WAL
+// when due. It runs after the job publishes, so a compaction racing it
+// snapshots the job as finished and cannot drop the record.
+func (s *Server) persistFinish(j *job, state string) {
+	if s.wal == nil {
+		return
 	}
 	info := j.info()
 	rec := simstore.Record{
@@ -620,28 +661,12 @@ func (s *Server) finishAccounting(j *job, state string) {
 	}
 	s.walAppend(rec)
 	s.mu.Lock()
-	s.tenants.jobFinished(j.client, !info.Started.IsZero())
-	if s.active[j.specHash] == j.id {
-		delete(s.active, j.specHash)
-	}
-	s.finished = append(s.finished, j)
-	for len(s.finished) > s.cfg.MaxFinishedJobs {
-		old := s.finished[0]
-		s.finished = s.finished[1:]
-		delete(s.jobs, old.id)
-		for i, oj := range s.order {
-			if oj == old {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-	}
-	if s.wal != nil && s.wal.AppendsSinceCompact() >= s.cfg.WALCompactEvery {
+	defer s.mu.Unlock()
+	if s.wal.AppendsSinceCompact() >= s.cfg.WALCompactEvery {
 		if err := s.wal.Compact(s.walSnapshotLocked()); err != nil {
 			s.logf("wal: compaction: %v", err)
 		}
 	}
-	s.mu.Unlock()
 }
 
 // walAppend logs one record when durability is enabled. Append failures on

@@ -217,11 +217,12 @@ func jsonSection(t *testing.T, doc []byte, key string) interface{} {
 }
 
 // TestResubmitAfterPublishedFinishIsFresh pins the window between a job
-// publishing its terminal state and finishAccounting releasing its dedup
-// slot: a resubmission landing there must start a fresh job, as the
-// documented "completed jobs do not dedup" rule says, and the finished
-// job's late accounting must not release the new job's slot. The window is
-// opened by hand (workers are never started), so the test is deterministic.
+// canceled while queued publishing its terminal state and releaseJob
+// freeing its dedup slot: a resubmission landing there must start a fresh
+// job, as the documented "completed jobs do not dedup" rule says, and the
+// finished job's late accounting must not release the new job's slot. The
+// window is opened by hand (workers are never started), so the test is
+// deterministic.
 func TestResubmitAfterPublishedFinishIsFresh(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Workers: 1})
 	spec := simapi.JobSpec{Experiment: "fig2", Benchmarks: []string{"gzip"}, Iterations: 10}
@@ -232,11 +233,11 @@ func TestResubmitAfterPublishedFinishIsFresh(t *testing.T) {
 	srv.mu.Lock()
 	j := srv.jobs[first.ID]
 	srv.mu.Unlock()
-	// What runJob does, stopped right after the terminal state is visible.
-	if !j.start(func() {}, time.Now()) {
-		t.Fatal("job did not start")
+	// What Cancel does to a queued job, stopped right after the terminal
+	// state is visible.
+	if !srv.queue.remove(j) || !j.markCanceledQueued(time.Now()) {
+		t.Fatal("job was not queued")
 	}
-	j.finish(simapi.StateFailed, "synthetic failure", nil, time.Now())
 
 	again, err := srv.Submit(spec, "")
 	if err != nil {
@@ -246,7 +247,7 @@ func TestResubmitAfterPublishedFinishIsFresh(t *testing.T) {
 		t.Fatalf("resubmission after the first job finished = %+v, want a fresh job", again)
 	}
 
-	srv.finishAccounting(j, simapi.StateFailed)
+	srv.releaseJob(j, simapi.StateCanceled)
 	dup, err := srv.Submit(spec, "")
 	if err != nil {
 		t.Fatal(err)

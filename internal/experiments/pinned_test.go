@@ -15,15 +15,16 @@ import (
 
 // pinnedIterations is the reduced workload length of the pinned results:
 // long enough to exercise bypassing, delay, flushes and both window sizes,
-// short enough that all nine experiments run in a couple of seconds.
+// short enough that all ten experiments run in a couple of seconds.
 const pinnedIterations = 20
 
 // pinnedExperiments are the experiments whose simulated numbers are pinned
-// under testdata/pinned: every paper table and figure, the built-in stress
-// suite, the committed scenario corpus, and the committed trace corpus.
+// under testdata/pinned: every paper table and figure, the default sweep
+// grid, the built-in stress suite, the committed scenario corpus, and the
+// committed trace corpus.
 var pinnedExperiments = []string{
 	"table5", "fig2", "fig3", "fig4", "fig5cap", "fig5hist",
-	"scenario", "corpus", "trace",
+	"sweep", "scenario", "corpus", "trace",
 }
 
 // pairRecorder collects every executed pair's checkpoint entry.

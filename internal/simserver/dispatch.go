@@ -88,13 +88,9 @@ func newDispatcher(leaseTTL, workerTTL, pollInterval time.Duration, logf func(st
 // worker registers with is logged but does not influence scheduling yet —
 // tasks are leased pull-style, so a faster worker simply claims more.)
 type remoteWorker struct {
-	id         string
-	name       string
-	registered time.Time
-	lastSeen   time.Time
-	// suspect counts lost leases: heartbeats the worker missed badly enough
-	// for the reaper to take a task back.
-	suspect int
+	id       string
+	name     string
+	lastSeen time.Time
 }
 
 type taskState int
@@ -235,10 +231,9 @@ func (d *dispatcher) register(req simwire.RegisterRequest) simwire.RegisterRespo
 	d.mu.Lock()
 	d.nextWorker++
 	w := &remoteWorker{
-		id:         fmt.Sprintf("worker-%06d", d.nextWorker),
-		name:       req.Name,
-		registered: now,
-		lastSeen:   now,
+		id:       fmt.Sprintf("worker-%06d", d.nextWorker),
+		name:     req.Name,
+		lastSeen: now,
 	}
 	d.workers[w.id] = w
 	n := len(d.workers)
@@ -462,17 +457,14 @@ func (d *dispatcher) finishTaskLocked(t *shardTask) (emitSpan func()) {
 }
 
 // requeueLocked sends a task back to the queue, excluding the worker that
-// held (or mishandled) it and marking that worker suspect. Callers hold d.mu.
+// held (or mishandled) it from re-claiming it. Callers hold d.mu.
 func (d *dispatcher) requeueLocked(t *shardTask, workerID, reason string) {
 	t.excluded[workerID] = true
 	t.state = taskQueued
 	t.workerID = ""
 	d.queue = append(d.queue, t)
 	d.requeued.Add(1)
-	if w := d.workers[workerID]; w != nil {
-		w.suspect++
-	}
-	d.logf("task %s: %s; worker %s marked suspect, task re-queued (%d pairs left)",
+	d.logf("task %s: %s; task re-queued without worker %s (%d pairs left)",
 		t.id, reason, workerID, len(t.pending))
 }
 

@@ -13,11 +13,15 @@
 //	GET    /api/v1/jobs/{id}          inspect one job
 //	DELETE /api/v1/jobs/{id}          cancel (queued or running)
 //	GET    /api/v1/jobs/{id}/events   progress feed, JSONL or SSE (?from=)
+//	POST   /api/v1/jobs/{id}/cancel   cancel, for clients that cannot send DELETE
 //	GET    /api/v1/jobs/{id}/report   finished report (?format=text|markdown|json|csv)
-//	GET    /healthz                   liveness + registered experiments
-//	GET    /metricsz                  queue/worker/cache/throughput counters
+//	GET    /api/v1/healthz            liveness + registered experiments
+//	GET    /api/v1/metricsz           queue/worker/cache/throughput counters
+//	                                  (?format=prometheus for the text exposition)
+//	POST   /api/v1/worker/...         the fleet protocol (see internal/simwire)
 //
-// internal/simclient is the typed Go client for this surface.
+// The unprefixed /healthz and /metricsz are deprecated aliases of the
+// /api/v1 routes. internal/simclient is the typed Go client for this surface.
 package simserver
 
 import (
@@ -31,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -625,16 +630,17 @@ func (s *Server) releaseJob(j *job, state string) {
 		delete(s.active, j.specHash)
 	}
 	s.finished = append(s.finished, j)
+	s.evictFinishedLocked()
+}
+
+// evictFinishedLocked drops the oldest finished jobs beyond the retention
+// limit. Callers hold s.mu (or, in New, have not shared the server yet).
+func (s *Server) evictFinishedLocked() {
 	for len(s.finished) > s.cfg.MaxFinishedJobs {
 		old := s.finished[0]
 		s.finished = s.finished[1:]
 		delete(s.jobs, old.id)
-		for i, oj := range s.order {
-			if oj == old {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
+		s.order = slices.DeleteFunc(s.order, func(oj *job) bool { return oj == old })
 	}
 }
 

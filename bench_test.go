@@ -12,6 +12,7 @@ package repro
 // paper's headline numbers are visible directly in the benchmark output.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bypass"
@@ -28,9 +29,19 @@ import (
 // benchmarks: the paper's own "selected benchmarks" (Figures 3-5).
 var benchSubset = core.SelectedBenchmarks()
 
-// benchOpts returns experiment options sized for the benchmark harness.
-func benchOpts(benchmarks []string) experiments.Options {
-	return experiments.Options{Iterations: 120, Benchmarks: benchmarks}
+// benchRows runs the named registered experiment sized for the benchmark
+// harness and returns its typed rows.
+func benchRows[R any](b *testing.B, name string, benchmarks []string) []R {
+	b.Helper()
+	e, err := experiments.Lookup(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := e.Run(context.Background(), experiments.Options{Iterations: 120, Benchmarks: benchmarks})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep.Rows.([]R)
 }
 
 // BenchmarkTable5 regenerates Table 5 (communication behaviour and bypassing
@@ -38,10 +49,7 @@ func benchOpts(benchmarks []string) experiments.Options {
 // average misprediction rates with and without delay.
 func BenchmarkTable5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Table5(benchOpts(benchSubset))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchRows[experiments.Table5Row](b, "table5", benchSubset)
 		var noDelay, withDelay, comm []float64
 		for _, r := range rows {
 			if r.IsMean {
@@ -62,10 +70,7 @@ func BenchmarkTable5(b *testing.B) {
 // configuration relative to the ideal baseline.
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Figure2(benchOpts(benchSubset))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchRows[experiments.RelTimeRow](b, "fig2", benchSubset)
 		reportRelativeMeans(b, rows)
 	}
 }
@@ -74,10 +79,7 @@ func BenchmarkFigure2(b *testing.B) {
 // window) on the paper's selected benchmarks.
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Figure3(benchOpts(nil))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchRows[experiments.RelTimeRow](b, "fig3", nil)
 		reportRelativeMeans(b, rows)
 	}
 }
@@ -102,10 +104,7 @@ func reportRelativeMeans(b *testing.B, rows []experiments.RelTimeRow) {
 // the baseline) and reports the mean relative read count.
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Figure4(benchOpts(nil))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchRows[experiments.Figure4Row](b, "fig4", nil)
 		var totals, backend []float64
 		for _, r := range rows {
 			if r.IsMean {
@@ -124,10 +123,7 @@ func BenchmarkFigure4(b *testing.B) {
 // capacity.
 func BenchmarkFigure5Capacity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Figure5Capacity(benchOpts(nil))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchRows[experiments.SensitivityRow](b, "fig5cap", nil)
 		reportSensitivity(b, rows, []string{"cap-512", "cap-1k", "cap-2k", "cap-4k", "cap-inf"})
 	}
 }
@@ -136,10 +132,7 @@ func BenchmarkFigure5Capacity(b *testing.B) {
 // history length sensitivity).
 func BenchmarkFigure5History(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Figure5History(benchOpts(nil))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := benchRows[experiments.SensitivityRow](b, "fig5hist", nil)
 		reportSensitivity(b, rows, []string{"hist-4", "hist-6", "hist-8", "hist-10", "hist-12"})
 	}
 }

@@ -58,16 +58,6 @@ type sweepResult struct {
 	err error
 }
 
-// effectiveConfig applies the sweep-wide instruction bound to a job's
-// configuration.
-func effectiveConfig(j sweepJob, opts Options) pipeline.Config {
-	cfg := j.cfg
-	if opts.MaxInsts > 0 {
-		cfg.MaxInsts = opts.MaxInsts
-	}
-	return cfg
-}
-
 // runGroup executes one group's pairs as one batch over the benchmark's
 // shared trace and pre-decoded TraceMeta, and returns a result per pair, in
 // job order. A pair whose configuration fails validation fails alone, with
@@ -94,7 +84,10 @@ func runGroup(g sweepGroup, traces *traceCache, opts Options) []sweepResult {
 	cfgs := make([]pipeline.Config, 0, len(g.jobs))
 	members := make([]int, 0, len(g.jobs)) // out index of each batch member
 	for i, j := range g.jobs {
-		cfg := effectiveConfig(j, opts)
+		cfg := j.cfg
+		if opts.MaxInsts > 0 {
+			cfg.MaxInsts = opts.MaxInsts // the sweep-wide instruction bound
+		}
 		if err := cfg.Validate(); err != nil {
 			out[i].err = err
 			continue

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/program"
 	"repro/internal/workload"
 )
 
@@ -60,13 +59,13 @@ func TestPlanGroupsCapsWidth(t *testing.T) {
 func TestSweepBatchBitIdenticalToScalar(t *testing.T) {
 	kinds := []core.ConfigKind{core.Baseline, core.NoSQDelay, core.NoSQNoDelay}
 	benchmarks := []string{"gzip", "applu"}
-	runs, sum, err := runSweep(context.Background(), benchmarks, kindConfigs(kinds, 0),
-		Options{Iterations: 25, Parallelism: 4})
+	cfgs := kindConfigs(kinds, 0)
+	if got, want := groupShape(planGroups(sweepJobs(benchmarks, cfgs))), [][]int{{0, 1, 2}, {3, 4, 5}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("groups = %v, want each benchmark's configurations batched together: %v", got, want)
+	}
+	runs, _, err := runSweep(context.Background(), benchmarks, cfgs, Options{Iterations: 25, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sum.BatchedPairs != len(benchmarks)*len(kinds) || sum.BatchGroups != len(benchmarks) {
-		t.Fatalf("sweep did not batch every benchmark's configurations: %+v", sum)
 	}
 	for _, b := range benchmarks {
 		prog, err := workload.Generate(b, workload.Options{Iterations: 25})
@@ -92,13 +91,14 @@ func TestSweepBatchBitIdenticalToScalar(t *testing.T) {
 func TestSweepSliceSplitsBatchGroup(t *testing.T) {
 	benchmarks := []string{"gzip"}
 	cfgs := kindConfigs(core.Kinds(), 0) // 5 pairs, one batchable group
-	full, fullSum, err := runSweep(context.Background(), benchmarks, cfgs,
+	jobs := sweepJobs(benchmarks, cfgs)
+	if groups := planGroups(jobs); len(groups) != 1 {
+		t.Fatalf("full run groups = %v, want one batch of all %d pairs", groupShape(groups), len(cfgs))
+	}
+	full, _, err := runSweep(context.Background(), benchmarks, cfgs,
 		Options{Iterations: 25, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if fullSum.BatchedPairs != len(cfgs) {
-		t.Fatalf("full run batched %d pairs, want all %d", fullSum.BatchedPairs, len(cfgs))
 	}
 
 	ck := filepath.Join(t.TempDir(), "ck.jsonl")
@@ -112,8 +112,8 @@ func TestSweepSliceSplitsBatchGroup(t *testing.T) {
 		if want := sl.End - sl.Start; sum.Executed != want {
 			t.Errorf("slice %+v executed %d pairs, want %d", sl, sum.Executed, want)
 		}
-		if sum.BatchedPairs != sum.Executed {
-			t.Errorf("slice %+v batched %d of its %d pairs", sl, sum.BatchedPairs, sum.Executed)
+		if groups := planGroups(jobs[sl.Start:sl.End]); len(groups) != 1 {
+			t.Errorf("slice %+v groups = %v, want its pairs in one batch", sl, groupShape(groups))
 		}
 	}
 
@@ -133,10 +133,6 @@ func TestSweepSliceSplitsBatchGroup(t *testing.T) {
 // TestRunGroupInvalidConfigFailsAlone: a pair whose configuration fails
 // validation fails with its own error, and the rest of its group still runs.
 func TestRunGroupInvalidConfigFailsAlone(t *testing.T) {
-	prog, err := workload.Generate("gzip", workload.Options{Iterations: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := core.ConfigFor(core.Baseline, 0)
 	bad := cfg
 	bad.IssueWidth = 0 // rejected by config validation at simulator construction
@@ -144,7 +140,10 @@ func TestRunGroupInvalidConfigFailsAlone(t *testing.T) {
 		{index: 0, benchmark: "gzip", key: "ok", cfg: cfg},
 		{index: 1, benchmark: "gzip", key: "bad", cfg: bad},
 	}
-	traces := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending)
+	traces, err := newTraceCache(profileTraces(25), pending)
+	if err != nil {
+		t.Fatal(err)
+	}
 	results := runGroup(sweepGroup{benchmark: "gzip", jobs: pending}, traces, Options{})
 	if len(results) != 2 {
 		t.Fatalf("got %d results, want 2", len(results))

@@ -182,14 +182,7 @@ func TestExecutorMergedReportByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Batch accounting describes how pairs were simulated, not what was
-	// measured: the local reference run batches in-process while the executor
-	// run defers execution, so those fields legitimately differ.
-	refSum, distSum := refRep.Summary, distRep.Summary
-	refSum.BatchGroups, refSum.BatchedPairs = 0, 0
-	distSum.BatchGroups, distSum.BatchedPairs = 0, 0
-	if refSum != distSum {
+	if refSum, distSum := refRep.Summary, distRep.Summary; refSum != distSum {
 		t.Errorf("summaries differ: local %+v, distributed %+v", refSum, distSum)
 	}
 	for _, format := range stats.Formats() {

@@ -3,19 +3,21 @@
 // Table 5 (communication behaviour and prediction accuracy), Figure 2
 // (performance at a 128-entry window), Figure 3 (performance at a 256-entry
 // window), Figure 4 (data-cache read bandwidth), and Figure 5
-// (bypassing-predictor sensitivity to capacity and history length) — plus a
-// free-form sweep over arbitrary configuration × window × benchmark grids,
-// a scenario experiment for declarative adversarial workloads, and a corpus
-// experiment replaying the committed pathological scenarios under
-// bench/corpus/.
+// (bypassing-predictor sensitivity to capacity and history length) — plus
+// four grid experiments that report raw per-(workload, configuration,
+// window) rows: a free-form sweep over arbitrary configuration × window ×
+// benchmark grids, a scenario experiment for declarative adversarial
+// workloads, a corpus experiment replaying the committed pathological
+// scenarios under bench/corpus/, and a trace experiment replaying the
+// recorded program traces under bench/traces/.
 //
 // Every experiment implements the Experiment interface and is registered by
 // name (table5, fig2, fig3, fig4, fig5cap, fig5hist, sweep, scenario,
-// corpus); Lookup, Names and All expose the registry to the CLI tools.
-// A run produces a Report —
-// one set of structured rows renderable as paper-style text, Markdown, JSON,
-// or CSV — and the classic per-experiment functions (Table5, Figure2, ...)
-// remain as thin wrappers returning the typed rows directly.
+// corpus, trace); Lookup, Names and All expose the registry to the CLI tools
+// and the benchmark harness. A run produces a Report — one set of structured
+// rows renderable as paper-style text, Markdown, JSON, or CSV, with the
+// experiment's typed rows ([]Table5Row, []RelTimeRow, []SweepRow, ...) in
+// Report.Rows for programmatic use.
 //
 // Simulations are farmed out to a worker pool by the sweep engine
 // (one simulation per benchmark/configuration pair), which also provides
@@ -29,9 +31,7 @@ import (
 	"runtime"
 
 	"repro/internal/core"
-	"repro/internal/emu"
 	"repro/internal/pipeline"
-	"repro/internal/program"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -92,9 +92,10 @@ type Options struct {
 	// to stream per-pair progress events to HTTP clients.
 	Progress ProgressSink
 
-	// Configs and Windows define the sweep experiment's grid: configuration
-	// kind names (see core.Kinds; nil = all five) and instruction-window
-	// sizes (nil = 128). Other experiments ignore them.
+	// Configs and Windows define the grid of the sweep, scenario, corpus and
+	// trace experiments: configuration kind names (see core.Kinds; nil = all
+	// five) and instruction-window sizes (nil = 128). Other experiments
+	// ignore them.
 	Configs []string
 	Windows []int
 
@@ -124,18 +125,11 @@ type Options struct {
 	// experiments ignore it.
 	Scenario *workload.Scenario
 
-	// scenarios maps workload names to scenario specs for program
-	// generation. The scenario experiment populates it (from Scenario or the
-	// built-in stress suite) before entering the sweep engine; it is not
+	// traces resolves each workload of the run to the loader of its trace
+	// (nil = the generated Table 5 profile). The scenario and trace
+	// experiments fill it in before entering the sweep engine; it is not
 	// caller-configurable.
-	scenarios map[string]workload.Scenario
-
-	// traceLoaders maps benchmark names to recorded-trace loaders. The trace
-	// experiment populates it before entering the sweep engine: a benchmark
-	// with a loader skips program generation and live emulation entirely —
-	// its shared trace comes from decoding the recorded file instead of
-	// RecordTrace. Not caller-configurable.
-	traceLoaders map[string]func() (*emu.Trace, error)
+	traces traceSource
 
 	// scope namespaces result-store entries by experiment, so one store
 	// shared across experiments (sequential runs, -exp all) can never
@@ -155,17 +149,6 @@ func (o Options) workers() int {
 		return o.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// generateProgram builds the named workload: a scenario when the name is in
-// the run's scenario set, a Table 5 benchmark otherwise. Both paths are
-// deterministic in (name, options), which is what lets distributed workers
-// regenerate exactly the program the coordinator planned.
-func (o Options) generateProgram(name string) (*program.Program, error) {
-	if s, ok := o.scenarios[name]; ok {
-		return workload.GenerateScenario(s, workload.Options{Iterations: o.Iterations})
-	}
-	return workload.Generate(name, workload.Options{Iterations: o.Iterations})
 }
 
 // completeOnly filters benchmarks down to those with a run for every

@@ -16,9 +16,9 @@ func quickOpts(benchmarks ...string) Options {
 }
 
 func TestTable5Quick(t *testing.T) {
-	tbl, rows, err := Table5(quickOpts("gzip", "g721.e", "applu"))
+	tbl, rows, _, err := table5(context.Background(), quickOpts("gzip", "g721.e", "applu"))
 	if err != nil {
-		t.Fatalf("Table5: %v", err)
+		t.Fatalf("table5: %v", err)
 	}
 	// 3 benchmarks + 3 suite means (one per suite represented).
 	if len(rows) != 6 {
@@ -53,9 +53,9 @@ func TestTable5Quick(t *testing.T) {
 }
 
 func TestFigure2Quick(t *testing.T) {
-	tbl, rows, err := Figure2(quickOpts("gzip", "mesa.o", "wupwise"))
+	tbl, rows, _, err := figure2(context.Background(), quickOpts("gzip", "mesa.o", "wupwise"))
 	if err != nil {
-		t.Fatalf("Figure2: %v", err)
+		t.Fatalf("figure2: %v", err)
 	}
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rows))
@@ -78,9 +78,9 @@ func TestFigure2Quick(t *testing.T) {
 func TestFigure3UsesSelectedBenchmarksByDefault(t *testing.T) {
 	// Don't run the full selected set; just verify the default selection and
 	// window plumb-through using a restricted benchmark list.
-	_, rows, err := Figure3(quickOpts("gap", "applu"))
+	_, rows, _, err := figure3(context.Background(), quickOpts("gap", "applu"))
 	if err != nil {
-		t.Fatalf("Figure3: %v", err)
+		t.Fatalf("figure3: %v", err)
 	}
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
@@ -88,9 +88,9 @@ func TestFigure3UsesSelectedBenchmarksByDefault(t *testing.T) {
 }
 
 func TestFigure4Quick(t *testing.T) {
-	_, rows, err := Figure4(quickOpts("mesa.o", "gzip"))
+	_, rows, _, err := figure4(context.Background(), quickOpts("mesa.o", "gzip"))
 	if err != nil {
-		t.Fatalf("Figure4: %v", err)
+		t.Fatalf("figure4: %v", err)
 	}
 	for _, r := range rows {
 		if r.Total() <= 0 || r.Total() > 1.6 {
@@ -110,9 +110,9 @@ func TestFigure4Quick(t *testing.T) {
 }
 
 func TestFigure5CapacityQuick(t *testing.T) {
-	_, rows, err := Figure5Capacity(quickOpts("gs.d", "vpr.p"))
+	_, rows, _, err := figure5Capacity(context.Background(), quickOpts("gs.d", "vpr.p"))
 	if err != nil {
-		t.Fatalf("Figure5Capacity: %v", err)
+		t.Fatalf("figure5Capacity: %v", err)
 	}
 	if len(rows) == 0 {
 		t.Fatal("no rows")
@@ -127,9 +127,9 @@ func TestFigure5CapacityQuick(t *testing.T) {
 }
 
 func TestFigure5HistoryQuick(t *testing.T) {
-	_, rows, err := Figure5History(quickOpts("eon.k"))
+	_, rows, _, err := figure5History(context.Background(), quickOpts("eon.k"))
 	if err != nil {
-		t.Fatalf("Figure5History: %v", err)
+		t.Fatalf("figure5History: %v", err)
 	}
 	want := []string{"hist-4", "hist-8", "hist-12", "hist-8-inf"}
 	for _, r := range rows {

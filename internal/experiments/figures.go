@@ -30,34 +30,18 @@ type RelTimeRow struct {
 // figureKinds are the four bars of Figures 2 and 3, in presentation order.
 var figureKinds = []core.ConfigKind{core.Baseline, core.NoSQNoDelay, core.NoSQDelay, core.PerfectSMB}
 
-// Figure titles, shared by the classic wrappers and the registry.
-const (
-	fig2Title = "Figure 2: relative execution time (128-entry window)"
-	fig3Title = "Figure 3: relative execution time (256-entry window)"
-)
-
-// Figure2 reproduces Figure 2: execution time of the associative-store-queue
+// figure2 reproduces Figure 2: execution time of the associative-store-queue
 // baseline, NoSQ without delay, NoSQ with delay, and perfect SMB, relative to
 // the ideal baseline, on the 128-entry-window machine.
-func Figure2(opts Options) (*stats.Table, []RelTimeRow, error) {
-	tbl, rows, _, err := figure2(context.Background(), opts)
-	return tbl, rows, err
-}
-
 func figure2(ctx context.Context, opts Options) (*stats.Table, []RelTimeRow, Summary, error) {
-	return relativeTimeFigure(ctx, fig2Title, opts, false, 128)
+	return relativeTimeFigure(ctx, "Figure 2: relative execution time (128-entry window)", opts, false, 128)
 }
 
-// Figure3 reproduces Figure 3: the same comparison on a 256-entry-window
+// figure3 reproduces Figure 3: the same comparison on a 256-entry-window
 // machine (window resources doubled, branch predictor quadrupled, bypassing
 // predictor unchanged), on the paper's selected benchmarks.
-func Figure3(opts Options) (*stats.Table, []RelTimeRow, error) {
-	tbl, rows, _, err := figure3(context.Background(), opts)
-	return tbl, rows, err
-}
-
 func figure3(ctx context.Context, opts Options) (*stats.Table, []RelTimeRow, Summary, error) {
-	return relativeTimeFigure(ctx, fig3Title, opts, true, 256)
+	return relativeTimeFigure(ctx, "Figure 3: relative execution time (256-entry window)", opts, true, 256)
 }
 
 func relativeTimeFigure(ctx context.Context, title string, opts Options, selected bool, window int) (*stats.Table, []RelTimeRow, Summary, error) {
@@ -151,14 +135,9 @@ type Figure4Row struct {
 // Total returns the total relative data-cache reads.
 func (r Figure4Row) Total() float64 { return r.CoreReads + r.BackendReads }
 
-// Figure4 reproduces Figure 4: data-cache reads of NoSQ (with delay) relative
+// figure4 reproduces Figure 4: data-cache reads of NoSQ (with delay) relative
 // to the associative-store-queue baseline, on the paper's selected
 // benchmarks plus suite means.
-func Figure4(opts Options) (*stats.Table, []Figure4Row, error) {
-	tbl, rows, _, err := figure4(context.Background(), opts)
-	return tbl, rows, err
-}
-
 func figure4(ctx context.Context, opts Options) (*stats.Table, []Figure4Row, Summary, error) {
 	opts.scope = "fig4"
 	benchmarks := defaultBenchmarks(opts, true)
@@ -224,14 +203,9 @@ type SensitivityRow struct {
 	IsMean   bool
 }
 
-// Figure5Capacity reproduces the top half of Figure 5: sensitivity of NoSQ
+// figure5Capacity reproduces the top half of Figure 5: sensitivity of NoSQ
 // (with delay) to the bypassing predictor's capacity — 512, 1K, 2K (default),
 // 4K entries and an unbounded predictor.
-func Figure5Capacity(opts Options) (*stats.Table, []SensitivityRow, error) {
-	tbl, rows, _, err := figure5Capacity(context.Background(), opts)
-	return tbl, rows, err
-}
-
 func figure5Capacity(ctx context.Context, opts Options) (*stats.Table, []SensitivityRow, Summary, error) {
 	opts.scope = "fig5cap"
 	variants := []struct {
@@ -253,14 +227,9 @@ func figure5Capacity(ctx context.Context, opts Options) (*stats.Table, []Sensiti
 	return sensitivity(ctx, "Figure 5 (top): bypassing predictor capacity sensitivity", opts, cfgs, labels)
 }
 
-// Figure5History reproduces the bottom half of Figure 5: sensitivity to the
+// figure5History reproduces the bottom half of Figure 5: sensitivity to the
 // number of path-history bits (4, 6, 8, 10, 12) for the default 2K-entry
 // predictor and for an unbounded predictor.
-func Figure5History(opts Options) (*stats.Table, []SensitivityRow, error) {
-	tbl, rows, _, err := figure5History(context.Background(), opts)
-	return tbl, rows, err
-}
-
 func figure5History(ctx context.Context, opts Options) (*stats.Table, []SensitivityRow, Summary, error) {
 	opts.scope = "fig5hist"
 	bits := []int{4, 6, 8, 10, 12}

@@ -5,12 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strconv"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/pipeline"
-	"repro/internal/stats"
+	"repro/internal/emu"
 	"repro/internal/workload"
 )
 
@@ -37,24 +34,18 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			scope := scenarioScope(scns)
-			tbl, rows, sum, err := scenarioExperiment(ctx, opts, scns, scope)
+			g, err := scenarioGrid("scenario", scns, opts.Iterations)
 			if err != nil {
 				return nil, err
 			}
-			rep := report("scenario", tbl, rows, sum)
-			names := make([]string, len(scns))
-			for i, s := range scns {
-				names[i] = s.Name
+			rep, _, _, err := runGrid(ctx, opts, g)
+			if err != nil {
+				return nil, err
 			}
-			rep.AddMeta("scenarios", strings.Join(names, ","))
-			rep.AddMeta("scenario-scope", scope)
+			rep.AddMeta("scenarios", strings.Join(g.workloads, ","))
+			rep.AddMeta("scenario-scope", g.scope)
 			if len(opts.Windows) > 0 {
-				ws := make([]string, len(opts.Windows))
-				for i, w := range opts.Windows {
-					ws[i] = strconv.Itoa(w)
-				}
-				rep.AddMeta("windows", strings.Join(ws, ","))
+				rep.AddMeta("windows", joinInts(opts.Windows))
 			}
 			return rep, nil
 		},
@@ -100,82 +91,36 @@ func scenarioScope(scns []workload.Scenario) string {
 	return "scenario:" + hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-func scenarioExperiment(ctx context.Context, opts Options, scns []workload.Scenario, scope string) (*stats.Table, []SweepRow, Summary, error) {
-	names := make([]string, len(scns))
-	opts.scenarios = make(map[string]workload.Scenario, len(scns))
-	for i, s := range scns {
-		if _, dup := opts.scenarios[s.Name]; dup {
-			return nil, nil, Summary{}, fmt.Errorf("experiments: duplicate scenario name %q", s.Name)
-		}
-		opts.scenarios[s.Name] = s
-		names[i] = s.Name
+// scenarioGrid is the grid of a scenario run (the scenario and corpus
+// experiments): one row block per scenario, with its generation pattern as
+// the second column, and each scenario's trace generated from its spec.
+func scenarioGrid(experiment string, scns []workload.Scenario, iterations int) (gridSpec, error) {
+	g := gridSpec{
+		experiment: experiment,
+		scope:      scenarioScope(scns),
+		title:      "Scenario: raw measurements per (scenario, configuration, window)",
+		nameCol:    "scenario",
+		extraCol:   "pattern",
 	}
-	opts.scope = scope
-
-	kinds, err := sweepKinds(opts.Configs)
-	if err != nil {
-		return nil, nil, Summary{}, err
-	}
-	kinds = dedup(kinds)
-	windows := dedup(opts.Windows)
-	if len(windows) == 0 {
-		windows = []int{128}
-	}
-	for _, w := range windows {
-		if w <= 0 {
-			return nil, nil, Summary{}, fmt.Errorf("experiments: invalid window size %d", w)
-		}
-	}
-	cfgs := make(map[string]pipeline.Config, len(kinds)*len(windows))
-	for _, k := range kinds {
-		for _, w := range windows {
-			cfgs[sweepKey(k, w)] = core.ConfigFor(k, w)
-		}
-	}
-
-	runs, sum, err := runSweep(ctx, names, cfgs, opts)
-	if err != nil {
-		return nil, nil, sum, err
-	}
-
-	var rows []SweepRow
+	byName := make(map[string]workload.Scenario, len(scns))
 	for _, s := range scns {
-		for _, k := range kinds {
-			for _, w := range windows {
-				run, ok := runs[s.Name][sweepKey(k, w)]
-				if !ok {
-					continue // another shard's pair
-				}
-				rows = append(rows, SweepRow{
-					Benchmark:    s.Name,
-					Suite:        workload.Custom,
-					Config:       k.String(),
-					Window:       w,
-					Cycles:       run.Cycles,
-					Committed:    run.Committed,
-					IPC:          run.IPC(),
-					CommPct:      run.PctInWindowComm(),
-					Bypassed:     run.BypassedLoads,
-					Delayed:      run.DelayedLoads,
-					MisPer10k:    run.MispredictsPer10kLoads(),
-					Flushes:      run.Flushes,
-					DCacheReads:  run.TotalDCacheReads(),
-					Reexecutions: run.Reexecutions,
-				})
-			}
+		if _, dup := byName[s.Name]; dup {
+			return gridSpec{}, fmt.Errorf("experiments: duplicate scenario name %q", s.Name)
 		}
-	}
-
-	tbl := stats.NewTable("Scenario: raw measurements per (scenario, configuration, window)",
-		"scenario", "pattern", "config", "window", "cycles", "committed", "IPC",
-		"comm%", "bypassed", "delayed", "mispred/10k", "flushes", "D$ reads", "reexec")
-	for _, r := range rows {
-		pattern := opts.scenarios[r.Benchmark].Pattern
+		byName[s.Name] = s
+		g.workloads = append(g.workloads, s.Name)
+		pattern := s.Pattern
 		if pattern == "" {
 			pattern = workload.PatternProfile
 		}
-		tbl.AddRow(r.Benchmark, pattern, r.Config, r.Window, r.Cycles, r.Committed,
-			r.IPC, r.CommPct, r.Bypassed, r.Delayed, r.MisPer10k, r.Flushes, r.DCacheReads, r.Reexecutions)
+		g.rows = append(g.rows, gridRow{name: s.Name, suite: workload.Custom, extra: pattern})
 	}
-	return tbl, rows, sum, nil
+	g.traces = func(name string) (func() (*emu.Trace, error), error) {
+		s, ok := byName[name]
+		if !ok {
+			return nil, fmt.Errorf("experiments: no scenario named %q", name)
+		}
+		return recorded(workload.GenerateScenario(s, workload.Options{Iterations: iterations}))
+	}
+	return g, nil
 }

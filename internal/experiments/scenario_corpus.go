@@ -40,47 +40,48 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			entries, err = filterEntries(entries, opts.Benchmarks)
+			entries, err = selectNamed(entries, opts.Benchmarks, func(e corpus.Entry) string { return e.Name }, "corpus entry")
 			if err != nil {
 				return nil, err
 			}
-			scns := corpus.Scenarios(entries)
-			scope := scenarioScope(scns)
-			tbl, rows, sum, err := scenarioExperiment(ctx, opts, scns, scope)
+			g, err := scenarioGrid("corpus", corpus.Scenarios(entries), opts.Iterations)
 			if err != nil {
 				return nil, err
 			}
-			rep := report("corpus", tbl, rows, sum)
+			rep, _, _, err := runGrid(ctx, opts, g)
+			if err != nil {
+				return nil, err
+			}
 			names := make([]string, len(entries))
 			for i, e := range entries {
 				names[i] = e.Name
 			}
 			rep.AddMeta("corpus-dir", dir)
 			rep.AddMeta("scenarios", strings.Join(names, ","))
-			rep.AddMeta("scenario-scope", scope)
+			rep.AddMeta("scenario-scope", g.scope)
 			return rep, nil
 		},
 	})
 }
 
-// filterEntries restricts the corpus to the named scenarios (nil = all),
-// preserving corpus order.
-func filterEntries(entries []corpus.Entry, names []string) ([]corpus.Entry, error) {
+// selectNamed restricts entries to the named ones, in the order named
+// (nil = all). what names the kind of entry in the error for an unknown
+// name.
+func selectNamed[E any](entries []E, names []string, nameOf func(E) string, what string) ([]E, error) {
 	if len(names) == 0 {
 		return entries, nil
 	}
-	byName := make(map[string]corpus.Entry, len(entries))
+	byName := make(map[string]E, len(entries))
 	known := make([]string, len(entries))
 	for i, e := range entries {
-		byName[e.Name] = e
-		known[i] = e.Name
+		known[i] = nameOf(e)
+		byName[known[i]] = e
 	}
-	out := make([]corpus.Entry, 0, len(names))
+	out := make([]E, 0, len(names))
 	for _, n := range names {
 		e, ok := byName[n]
 		if !ok {
-			return nil, fmt.Errorf("experiments: no corpus entry named %q (known: %s)",
-				n, strings.Join(known, ", "))
+			return nil, fmt.Errorf("experiments: no %s named %q (known: %s)", what, n, strings.Join(known, ", "))
 		}
 		out = append(out, e)
 	}

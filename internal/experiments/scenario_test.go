@@ -226,13 +226,7 @@ func TestScenarioExecutorByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Batch accounting covers only locally simulated pairs; an executor run
-	// defers execution, so those fields legitimately differ from the local
-	// reference.
-	refSum, distSum := refRep.Summary, distRep.Summary
-	refSum.BatchGroups, refSum.BatchedPairs = 0, 0
-	distSum.BatchGroups, distSum.BatchedPairs = 0, 0
-	if refSum != distSum {
+	if refSum, distSum := refRep.Summary, distRep.Summary; refSum != distSum {
 		t.Errorf("summaries differ: local %+v, distributed %+v", refSum, distSum)
 	}
 	for _, format := range stats.Formats() {

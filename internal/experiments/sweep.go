@@ -19,11 +19,11 @@ import (
 
 // traceCache hands out each benchmark's recorded dynamic instruction trace
 // and its pre-decoded TraceMeta. The functional execution of a benchmark is
-// identical under every machine configuration, so a sweep records and
-// pre-decodes it once and shares both read-only across all concurrent
-// simulations of that benchmark. Entries are reference-counted by pending
-// job, so a long sweep holds only the traces it is actively simulating
-// instead of one per benchmark.
+// identical under every machine configuration, so a sweep records (or
+// decodes) and pre-decodes it once and shares both read-only across all
+// concurrent simulations of that benchmark. Entries are reference-counted by
+// pending job, so a long sweep holds only the traces it is actively
+// simulating instead of one per benchmark.
 type traceCache struct {
 	mu      sync.Mutex
 	entries map[string]*traceEntry
@@ -38,29 +38,48 @@ type traceEntry struct {
 	err    error
 }
 
-func newTraceCache(progs map[string]*program.Program, loaders map[string]func() (*emu.Trace, error), pending []sweepJob) *traceCache {
+// traceSource resolves a workload name to the loader of its trace. A sweep
+// resolves every benchmark with pending pairs before simulating any, so an
+// unknown workload fails the run up front; the loader runs once, on first
+// use.
+type traceSource func(name string) (func() (*emu.Trace, error), error)
+
+// profileTraces is the default trace source: a Table 5 profile, generated at
+// the given workload length and recorded.
+func profileTraces(iterations int) traceSource {
+	return func(name string) (func() (*emu.Trace, error), error) {
+		return recorded(workload.Generate(name, workload.Options{Iterations: iterations}))
+	}
+}
+
+// recorded returns a loader that records a generated program's trace.
+func recorded(p *program.Program, err error) (func() (*emu.Trace, error), error) {
+	if err != nil {
+		return nil, err
+	}
+	return func() (*emu.Trace, error) { return emu.RecordTrace(p, 0) }, nil
+}
+
+// newTraceCache resolves the loader of every benchmark with pending jobs.
+func newTraceCache(src traceSource, pending []sweepJob) (*traceCache, error) {
 	c := &traceCache{
-		entries: make(map[string]*traceEntry, len(progs)+len(loaders)),
-		left:    make(map[string]int, len(progs)+len(loaders)),
-	}
-	for b := range progs {
-		prog := progs[b]
-		// The record closure runs inside once.Do on first use, so workers
-		// that share a benchmark block until its trace exists and record it
-		// exactly once.
-		c.entries[b] = &traceEntry{record: func() (*emu.Trace, error) { return emu.RecordTrace(prog, 0) }}
-	}
-	// Trace-backed benchmarks (the trace experiment) have no program: their
-	// shared trace comes from decoding a recorded file, under the same
-	// once.Do so concurrent configurations of one trace decode it exactly
-	// once.
-	for b := range loaders {
-		c.entries[b] = &traceEntry{record: loaders[b]}
+		entries: make(map[string]*traceEntry),
+		left:    make(map[string]int),
 	}
 	for _, j := range pending {
-		c.left[j.benchmark]++
+		if c.left[j.benchmark]++; c.left[j.benchmark] > 1 {
+			continue
+		}
+		load, err := src(j.benchmark)
+		if err != nil {
+			return nil, err
+		}
+		// The loader runs inside once.Do on first use, so workers that
+		// share a benchmark block until its trace exists and load it
+		// exactly once.
+		c.entries[j.benchmark] = &traceEntry{record: load}
 	}
-	return c
+	return c, nil
 }
 
 // get returns the benchmark's shared trace and TraceMeta, recording and
@@ -167,12 +186,6 @@ type Summary struct {
 	// Incomplete counts benchmarks dropped from a table/figure presentation
 	// because shard selection left them without a full configuration set.
 	Incomplete int
-	// BatchGroups and BatchedPairs count config-parallel execution as
-	// planned: groups of width > 1 and the pairs they cover. Zero when every
-	// group was a singleton. They describe only how pairs were simulated,
-	// never what was measured, so they appear in no report rendering.
-	BatchGroups  int
-	BatchedPairs int
 }
 
 // CheckpointEntry is one finished job: one record of a ResultStore and the
@@ -257,8 +270,8 @@ func ValidateShards(shards, index int) error {
 
 // runSweep is the sweep engine behind every experiment: it runs each
 // (benchmark, configuration) pair through the simulator, by default on the
-// local worker pool (localExecutor), generating each benchmark's program
-// once. Locally executed pairs of the same benchmark and window geometry run
+// local worker pool (localExecutor), loading each benchmark's trace once
+// from opts.traces (default: the generated Table 5 profile). Locally executed pairs of the same benchmark and window geometry run
 // config-parallel — one batch simulation over the benchmark's shared trace
 // (see pipeline.Batch and planGroups); a pair's measurements do not depend on
 // its group, so grouping is invisible in every output.
@@ -290,23 +303,12 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 		return nil, sum, fmt.Errorf("experiments: invalid pair slice [%d,%d)", opts.Slice.Start, opts.Slice.End)
 	}
 
-	keys := make([]string, 0, len(cfgs))
-	for k := range cfgs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	jobs := make([]sweepJob, 0, len(benchmarks)*len(keys))
-	for _, b := range benchmarks {
-		for _, k := range keys {
-			jobs = append(jobs, sweepJob{index: len(jobs), benchmark: b, key: k, cfg: cfgs[k]})
-		}
-	}
+	jobs := sweepJobs(benchmarks, cfgs)
 	sum.Total = len(jobs)
 
 	out := make(map[string]map[string]stats.Run, len(benchmarks))
 	for _, b := range benchmarks {
-		out[b] = make(map[string]stats.Run, len(keys))
+		out[b] = make(map[string]stats.Run, len(cfgs))
 	}
 
 	done := make(map[string]CheckpointEntry)
@@ -383,7 +385,7 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 
 	exec := opts.Executor
 	if exec == nil {
-		exec = localExecutor(pending, opts, &sum)
+		exec = localExecutor(pending, opts)
 	}
 	err := exec(ctx, req)
 	mu.Lock()
@@ -398,50 +400,43 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 	return out, sum, err
 }
 
+// sweepJobs lists a sweep's pairs in their deterministic order: benchmarks
+// in the given order, configuration keys sorted within each.
+func sweepJobs(benchmarks []string, cfgs map[string]pipeline.Config) []sweepJob {
+	keys := make([]string, 0, len(cfgs))
+	for k := range cfgs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	jobs := make([]sweepJob, 0, len(benchmarks)*len(keys))
+	for _, b := range benchmarks {
+		for _, k := range keys {
+			jobs = append(jobs, sweepJob{index: len(jobs), benchmark: b, key: k, cfg: cfgs[k]})
+		}
+	}
+	return jobs
+}
+
 // localExecutor is the default Executor: it simulates the pending pairs on a
 // pool of opts.workers() goroutines, one execution group (see planGroups) at
-// a time, and counts the planned batching in sum. It returns the first
-// pair's simulation error.
-func localExecutor(pending []sweepJob, opts Options, sum *Summary) Executor {
+// a time. It returns the first pair's simulation error.
+func localExecutor(pending []sweepJob, opts Options) Executor {
 	return func(ctx context.Context, req ExecRequest) error {
-		// Generate programs up front (cheap, single-threaded,
-		// deterministic), only for benchmarks that still have pending work.
-		// Each benchmark's dynamic instruction trace is then recorded once,
-		// on first use, and shared read-only by every simulation of that
-		// benchmark. Trace-backed benchmarks have no program to generate —
-		// their recorded file is the trace — so they only contribute
-		// loaders.
-		progs := make(map[string]*program.Program)
-		loaders := make(map[string]func() (*emu.Trace, error), len(opts.traceLoaders))
-		for _, j := range pending {
-			if _, ok := progs[j.benchmark]; ok {
-				continue
-			}
-			if _, ok := loaders[j.benchmark]; ok {
-				continue
-			}
-			if load, ok := opts.traceLoaders[j.benchmark]; ok {
-				loaders[j.benchmark] = load
-				continue
-			}
-			p, err := opts.generateProgram(j.benchmark)
-			if err != nil {
-				return err
-			}
-			progs[j.benchmark] = p
+		// Each benchmark's trace is loaded once, on first use, and shared
+		// read-only by every simulation of that benchmark.
+		src := opts.traces
+		if src == nil {
+			src = profileTraces(opts.Iterations)
 		}
-		traces := newTraceCache(progs, loaders, pending)
+		traces, err := newTraceCache(src, pending)
+		if err != nil {
+			return err
+		}
 
 		// Same-benchmark, same-geometry pairs run config-parallel as one
 		// batch over the shared trace. Grouping affects only how pairs are
 		// simulated: each pair still lands alone through req.Emit.
 		groups := planGroups(pending)
-		for _, g := range groups {
-			if len(g.jobs) > 1 {
-				sum.BatchGroups++
-				sum.BatchedPairs += len(g.jobs)
-			}
-		}
 
 		workers := opts.workers()
 		if workers > len(groups) {
@@ -531,114 +526,156 @@ func dedup[T comparable](xs []T) []T {
 	return out
 }
 
-// sweepKinds resolves the sweep grid's configuration kinds (nil = all five).
-func sweepKinds(names []string) ([]core.ConfigKind, error) {
-	if len(names) == 0 {
-		return core.Kinds(), nil
-	}
-	kinds := make([]core.ConfigKind, 0, len(names))
-	for _, n := range names {
-		k, err := core.KindByName(strings.TrimSpace(n))
-		if err != nil {
-			return nil, err
-		}
-		kinds = append(kinds, k)
-	}
-	return kinds, nil
-}
-
 // sweepKey names one grid cell; sorting these keys preserves the
 // configuration-major, window-minor grid order within a benchmark.
 func sweepKey(kind core.ConfigKind, window int) string {
 	return fmt.Sprintf("%s@w%04d", kind, window)
 }
 
-// Sweep runs the free-form sweep experiment: every combination of
+// gridSpec is what a grid experiment (sweep, scenario, corpus, trace) hands
+// runGrid: which workloads to run, where their traces come from, and how to
+// title and order the rows.
+type gridSpec struct {
+	experiment string // report name
+	scope      string // result-store scope
+	workloads  []string
+	traces     traceSource // nil = generated Table 5 profiles
+	rows       []gridRow   // row order of the table
+	title      string
+	nameCol    string
+	extraCol   string // header of a second, per-workload column ("" = none)
+}
+
+// gridRow places one workload in a grid's table.
+type gridRow struct {
+	name  string
+	suite workload.Suite
+	extra string // the workload's extraCol cell
+}
+
+// runGrid runs the grid experiments' shared body: every combination of
 // opts.Configs (default: all five configuration kinds) × opts.Windows
-// (default: the 128-entry window) × the benchmark set (default: the paper's
-// selected benchmarks). Unlike the table/figure experiments, a sweep has no
-// fixed presentation — it reports the raw per-run measurements, one row per
-// grid cell, and is the intended vehicle for sharded and resumable bulk runs.
-func Sweep(ctx context.Context, opts Options) (*Report, error) {
-	opts.scope = "sweep"
-	kinds, err := sweepKinds(opts.Configs)
-	if err != nil {
-		return nil, err
+// (default: the 128-entry window) × the spec's workloads, reported as one raw
+// SweepRow per cell. It returns the report with its job-accounting meta and
+// the resolved configuration kinds and windows.
+func runGrid(ctx context.Context, opts Options, g gridSpec) (*Report, []core.ConfigKind, []int, error) {
+	var kinds []core.ConfigKind
+	for _, n := range opts.Configs {
+		k, err := core.KindByName(strings.TrimSpace(n))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		kinds = append(kinds, k)
+	}
+	if len(kinds) == 0 {
+		kinds = core.Kinds()
 	}
 	kinds = dedup(kinds)
-	windows := opts.Windows
+	windows := dedup(opts.Windows)
 	if len(windows) == 0 {
 		windows = []int{128}
 	}
-	windows = dedup(windows)
 	for _, w := range windows {
 		if w <= 0 {
-			return nil, fmt.Errorf("experiments: invalid window size %d", w)
+			return nil, nil, nil, fmt.Errorf("experiments: invalid window size %d", w)
 		}
 	}
-	benchmarks := defaultBenchmarks(opts, true)
-
 	cfgs := make(map[string]pipeline.Config, len(kinds)*len(windows))
 	for _, k := range kinds {
 		for _, w := range windows {
 			cfgs[sweepKey(k, w)] = core.ConfigFor(k, w)
 		}
 	}
-	runs, sum, err := runSweep(ctx, benchmarks, cfgs, opts)
+	opts.scope, opts.traces = g.scope, g.traces
+	runs, sum, err := runSweep(ctx, g.workloads, cfgs, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 
+	head := []string{g.nameCol}
+	if g.extraCol != "" {
+		head = append(head, g.extraCol)
+	}
+	tbl := stats.NewTable(g.title, append(head, "config", "window", "cycles", "committed", "IPC",
+		"comm%", "bypassed", "delayed", "mispred/10k", "flushes", "D$ reads", "reexec")...)
 	var rows []SweepRow
-	bySuite := orderedBySuite(benchmarks)
-	for _, suite := range suiteOrder {
-		for _, b := range bySuite[suite] {
-			for _, k := range kinds {
-				for _, w := range windows {
-					run, ok := runs[b][sweepKey(k, w)]
-					if !ok {
-						continue // another shard's job
-					}
-					rows = append(rows, SweepRow{
-						Benchmark:    b,
-						Suite:        suite,
-						Config:       k.String(),
-						Window:       w,
-						Cycles:       run.Cycles,
-						Committed:    run.Committed,
-						IPC:          run.IPC(),
-						CommPct:      run.PctInWindowComm(),
-						Bypassed:     run.BypassedLoads,
-						Delayed:      run.DelayedLoads,
-						MisPer10k:    run.MispredictsPer10kLoads(),
-						Flushes:      run.Flushes,
-						DCacheReads:  run.TotalDCacheReads(),
-						Reexecutions: run.Reexecutions,
-					})
+	for _, w := range g.rows {
+		for _, k := range kinds {
+			for _, win := range windows {
+				run, ok := runs[w.name][sweepKey(k, win)]
+				if !ok {
+					continue // another shard's pair
 				}
+				r := SweepRow{
+					Benchmark:    w.name,
+					Suite:        w.suite,
+					Config:       k.String(),
+					Window:       win,
+					Cycles:       run.Cycles,
+					Committed:    run.Committed,
+					IPC:          run.IPC(),
+					CommPct:      run.PctInWindowComm(),
+					Bypassed:     run.BypassedLoads,
+					Delayed:      run.DelayedLoads,
+					MisPer10k:    run.MispredictsPer10kLoads(),
+					Flushes:      run.Flushes,
+					DCacheReads:  run.TotalDCacheReads(),
+					Reexecutions: run.Reexecutions,
+				}
+				rows = append(rows, r)
+				cells := []interface{}{r.Benchmark}
+				if g.extraCol != "" {
+					cells = append(cells, w.extra)
+				}
+				tbl.AddRow(append(cells, r.Config, r.Window, r.Cycles, r.Committed, r.IPC, r.CommPct,
+					r.Bypassed, r.Delayed, r.MisPer10k, r.Flushes, r.DCacheReads, r.Reexecutions)...)
 			}
 		}
 	}
+	return report(g.experiment, tbl, rows, sum), kinds, windows, nil
+}
 
-	tbl := stats.NewTable("Sweep: raw measurements per (benchmark, configuration, window)",
-		"benchmark", "suite", "config", "window", "cycles", "committed", "IPC",
-		"comm%", "bypassed", "delayed", "mispred/10k", "flushes", "D$ reads", "reexec")
-	for _, r := range rows {
-		tbl.AddRow(r.Benchmark, r.Suite.String(), r.Config, r.Window, r.Cycles, r.Committed,
-			r.IPC, r.CommPct, r.Bypassed, r.Delayed, r.MisPer10k, r.Flushes, r.DCacheReads, r.Reexecutions)
+// joinInts renders a window list as report meta.
+func joinInts(xs []int) string {
+	s := make([]string, len(xs))
+	for i, x := range xs {
+		s[i] = strconv.Itoa(x)
 	}
+	return strings.Join(s, ",")
+}
 
-	rep := report("sweep", tbl, rows, sum)
+// Sweep runs the free-form sweep experiment: the grid of opts.Configs ×
+// opts.Windows (see runGrid) over the benchmark set (default: the paper's
+// selected benchmarks). Unlike the table/figure experiments, a sweep has no
+// fixed presentation — it reports the raw per-run measurements, one row per
+// grid cell, and is the intended vehicle for sharded and resumable bulk runs.
+func Sweep(ctx context.Context, opts Options) (*Report, error) {
+	benchmarks := defaultBenchmarks(opts, true)
+	var rows []gridRow
+	bySuite := orderedBySuite(benchmarks)
+	for _, suite := range suiteOrder {
+		for _, b := range bySuite[suite] {
+			rows = append(rows, gridRow{name: b, suite: suite, extra: suite.String()})
+		}
+	}
+	rep, kinds, windows, err := runGrid(ctx, opts, gridSpec{
+		experiment: "sweep",
+		scope:      "sweep",
+		workloads:  benchmarks,
+		rows:       rows,
+		title:      "Sweep: raw measurements per (benchmark, configuration, window)",
+		nameCol:    "benchmark",
+		extraCol:   "suite",
+	})
+	if err != nil {
+		return nil, err
+	}
 	kindNames := make([]string, len(kinds))
 	for i, k := range kinds {
 		kindNames[i] = k.String()
 	}
-	windowNames := make([]string, len(windows))
-	for i, w := range windows {
-		windowNames[i] = strconv.Itoa(w)
-	}
 	rep.AddMeta("configs", strings.Join(kindNames, ","))
-	rep.AddMeta("windows", strings.Join(windowNames, ","))
+	rep.AddMeta("windows", joinInts(windows))
 	rep.AddMeta("benchmarks", len(benchmarks))
 	if opts.Shards > 1 {
 		rep.AddMeta("shard", fmt.Sprintf("%d/%d", opts.ShardIndex, opts.Shards))

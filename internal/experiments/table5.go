@@ -29,13 +29,8 @@ type Table5Row struct {
 	IsMean bool
 }
 
-// Table5 reproduces Table 5: store-load communication behaviour and
+// table5 reproduces Table 5: store-load communication behaviour and
 // bypassing-predictor accuracy, per benchmark plus per-suite averages.
-func Table5(opts Options) (*stats.Table, []Table5Row, error) {
-	tbl, rows, _, err := table5(context.Background(), opts)
-	return tbl, rows, err
-}
-
 func table5(ctx context.Context, opts Options) (*stats.Table, []Table5Row, Summary, error) {
 	opts.scope = "table5"
 	benchmarks := defaultBenchmarks(opts, false)

@@ -5,13 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/pipeline"
-	"repro/internal/stats"
 	"repro/internal/traceio"
 	"repro/internal/workload"
 )
@@ -50,59 +46,28 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			entries, err = filterTraceEntries(entries, opts.Benchmarks)
+			// Names are entry ref names — the content-addressed identity a
+			// job spec carries — so a spec recorded against one trace
+			// revision fails loudly against another instead of silently
+			// replaying different bytes under the same human name.
+			entries, err = selectNamed(entries, opts.Benchmarks, traceio.Entry.RefName, "trace")
 			if err != nil {
 				return nil, err
 			}
-			tbl, rows, sum, err := traceExperiment(ctx, opts, entries)
+			g := traceGrid(entries)
+			rep, _, _, err := runGrid(ctx, opts, g)
 			if err != nil {
 				return nil, err
-			}
-			rep := report("trace", tbl, rows, sum)
-			names := make([]string, len(entries))
-			for i, e := range entries {
-				names[i] = e.RefName()
 			}
 			rep.AddMeta("trace-dir", dir)
-			rep.AddMeta("traces", strings.Join(names, ","))
-			rep.AddMeta("trace-scope", traceScope(entries))
+			rep.AddMeta("traces", strings.Join(g.workloads, ","))
+			rep.AddMeta("trace-scope", g.scope)
 			if len(opts.Windows) > 0 {
-				ws := make([]string, len(opts.Windows))
-				for i, w := range opts.Windows {
-					ws[i] = strconv.Itoa(w)
-				}
-				rep.AddMeta("windows", strings.Join(ws, ","))
+				rep.AddMeta("windows", joinInts(opts.Windows))
 			}
 			return rep, nil
 		},
 	})
-}
-
-// filterTraceEntries restricts the corpus to the named traces (nil = all),
-// preserving directory order. Names are entry ref names — the
-// content-addressed identity a job spec carries — so a spec recorded
-// against one trace revision fails loudly against another instead of
-// silently replaying different bytes under the same human name.
-func filterTraceEntries(entries []traceio.Entry, names []string) ([]traceio.Entry, error) {
-	if len(names) == 0 {
-		return entries, nil
-	}
-	byRef := make(map[string]traceio.Entry, len(entries))
-	known := make([]string, len(entries))
-	for i, e := range entries {
-		byRef[e.RefName()] = e
-		known[i] = e.RefName()
-	}
-	out := make([]traceio.Entry, 0, len(names))
-	for _, n := range names {
-		e, ok := byRef[n]
-		if !ok {
-			return nil, fmt.Errorf("experiments: no trace named %q (known: %s)",
-				n, strings.Join(known, ", "))
-		}
-		out = append(out, e)
-	}
-	return out, nil
 }
 
 // traceScope derives the experiment scope from the run's trace contents:
@@ -119,79 +84,30 @@ func traceScope(entries []traceio.Entry) string {
 	return "trace:" + hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-func traceExperiment(ctx context.Context, opts Options, entries []traceio.Entry) (*stats.Table, []SweepRow, Summary, error) {
-	names := make([]string, len(entries))
-	opts.traceLoaders = make(map[string]func() (*emu.Trace, error), len(entries))
-	for i, e := range entries {
-		path := e.Path
-		names[i] = e.RefName()
-		opts.traceLoaders[e.RefName()] = func() (*emu.Trace, error) {
+// traceGrid is the grid of a trace run: one row block per trace, named by
+// its ref name, and each trace decoded from its recorded file.
+func traceGrid(entries []traceio.Entry) gridSpec {
+	g := gridSpec{
+		experiment: "trace",
+		scope:      traceScope(entries),
+		title:      "Trace: raw measurements per (trace, configuration, window)",
+		nameCol:    "trace",
+	}
+	paths := make(map[string]string, len(entries))
+	for _, e := range entries {
+		paths[e.RefName()] = e.Path
+		g.workloads = append(g.workloads, e.RefName())
+		g.rows = append(g.rows, gridRow{name: e.RefName(), suite: workload.Custom})
+	}
+	g.traces = func(name string) (func() (*emu.Trace, error), error) {
+		path, ok := paths[name]
+		if !ok {
+			return nil, fmt.Errorf("experiments: no trace named %q", name)
+		}
+		return func() (*emu.Trace, error) {
 			t, _, err := traceio.ReadFile(path)
 			return t, err
-		}
+		}, nil
 	}
-	opts.scope = traceScope(entries)
-
-	kinds, err := sweepKinds(opts.Configs)
-	if err != nil {
-		return nil, nil, Summary{}, err
-	}
-	kinds = dedup(kinds)
-	windows := dedup(opts.Windows)
-	if len(windows) == 0 {
-		windows = []int{128}
-	}
-	for _, w := range windows {
-		if w <= 0 {
-			return nil, nil, Summary{}, fmt.Errorf("experiments: invalid window size %d", w)
-		}
-	}
-	cfgs := make(map[string]pipeline.Config, len(kinds)*len(windows))
-	for _, k := range kinds {
-		for _, w := range windows {
-			cfgs[sweepKey(k, w)] = core.ConfigFor(k, w)
-		}
-	}
-
-	runs, sum, err := runSweep(ctx, names, cfgs, opts)
-	if err != nil {
-		return nil, nil, sum, err
-	}
-
-	var rows []SweepRow
-	for _, name := range names {
-		for _, k := range kinds {
-			for _, w := range windows {
-				run, ok := runs[name][sweepKey(k, w)]
-				if !ok {
-					continue // another shard's pair
-				}
-				rows = append(rows, SweepRow{
-					Benchmark:    name,
-					Suite:        workload.Custom,
-					Config:       k.String(),
-					Window:       w,
-					Cycles:       run.Cycles,
-					Committed:    run.Committed,
-					IPC:          run.IPC(),
-					CommPct:      run.PctInWindowComm(),
-					Bypassed:     run.BypassedLoads,
-					Delayed:      run.DelayedLoads,
-					MisPer10k:    run.MispredictsPer10kLoads(),
-					Flushes:      run.Flushes,
-					DCacheReads:  run.TotalDCacheReads(),
-					Reexecutions: run.Reexecutions,
-				})
-			}
-		}
-	}
-
-	tbl := stats.NewTable("Trace: raw measurements per (trace, configuration, window)",
-		"trace", "config", "window", "cycles", "committed", "IPC",
-		"comm%", "bypassed", "delayed", "mispred/10k", "flushes", "D$ reads", "reexec")
-	for _, r := range rows {
-		tbl.AddRow(r.Benchmark, r.Config, r.Window, r.Cycles, r.Committed,
-			r.IPC, r.CommPct, r.Bypassed, r.Delayed, r.MisPer10k, r.Flushes, r.DCacheReads, r.Reexecutions)
-	}
-	return tbl, rows, sum, nil
+	return g
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/emu"
-	"repro/internal/program"
 	"repro/internal/workload"
 )
 
@@ -16,16 +15,15 @@ import (
 // the one shared trace, and the entry must be dropped exactly when the last
 // pending job releases it.
 func TestTraceCacheConcurrentGetRelease(t *testing.T) {
-	prog, err := workload.Generate("gzip", workload.Options{Iterations: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const jobs = 32
 	pending := make([]sweepJob, jobs)
 	for i := range pending {
 		pending[i] = sweepJob{index: i, benchmark: "gzip"}
 	}
-	c := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending)
+	c, err := newTraceCache(profileTraces(10), pending)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	traces := make([]interface{}, jobs)
 	var wg sync.WaitGroup
@@ -104,16 +102,15 @@ func TestTraceCacheRecordErrorShared(t *testing.T) {
 // groups of one benchmark do: every group must see the same pre-decoded
 // TraceMeta instance, built exactly once (run with -race in CI).
 func TestTraceCacheConcurrentMetaSharing(t *testing.T) {
-	prog, err := workload.Generate("gzip", workload.Options{Iterations: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const jobs = 32
 	pending := make([]sweepJob, jobs)
 	for i := range pending {
 		pending[i] = sweepJob{index: i, benchmark: "gzip"}
 	}
-	c := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending)
+	c, err := newTraceCache(profileTraces(10), pending)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	metas := make([]interface{}, jobs)
 	var wg sync.WaitGroup
@@ -157,10 +154,17 @@ func TestTraceCacheMetaPropagatesRecordError(t *testing.T) {
 	}
 }
 
-// TestTraceCacheUnknownBenchmark: a benchmark with no entry is an error, not
-// a panic — the sweep engine treats it as a failed job.
+// TestTraceCacheUnknownBenchmark: a pending benchmark the trace source does
+// not know fails cache construction, before any pair is simulated; a get of
+// a benchmark with no entry is an error, not a panic.
 func TestTraceCacheUnknownBenchmark(t *testing.T) {
-	c := newTraceCache(nil, nil, nil)
+	if _, err := newTraceCache(profileTraces(10), []sweepJob{{benchmark: "nonesuch"}}); err == nil {
+		t.Fatal("unknown pending benchmark should fail cache construction")
+	}
+	c, err := newTraceCache(profileTraces(10), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := c.get("nonesuch"); err == nil {
 		t.Fatal("get of unknown benchmark should error")
 	}
@@ -170,12 +174,11 @@ func TestTraceCacheUnknownBenchmark(t *testing.T) {
 // benchmark's jobs must not drop the trace while other jobs still hold
 // pending references.
 func TestTraceCacheReleaseKeepsSharedEntryAlive(t *testing.T) {
-	prog, err := workload.Generate("gzip", workload.Options{Iterations: 10})
+	pending := []sweepJob{{index: 0, benchmark: "gzip"}, {index: 1, benchmark: "gzip"}}
+	c, err := newTraceCache(profileTraces(10), pending)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pending := []sweepJob{{index: 0, benchmark: "gzip"}, {index: 1, benchmark: "gzip"}}
-	c := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending)
 	first, _, err := c.get("gzip")
 	if err != nil {
 		t.Fatal(err)
@@ -191,5 +194,28 @@ func TestTraceCacheReleaseKeepsSharedEntryAlive(t *testing.T) {
 	c.release("gzip")
 	if _, _, err := c.get("gzip"); err == nil {
 		t.Fatal("trace still served after the last pending job released it")
+	}
+}
+
+// TestGridTraceSourcesRejectUnknownWorkload: every grid experiment's trace
+// source fails cache construction for a workload outside its set, so such a
+// run fails before any pair is simulated.
+func TestGridTraceSourcesRejectUnknownWorkload(t *testing.T) {
+	scn, err := scenarioGrid("scenario", workload.StressScenarios(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]traceSource{
+		"profile":  profileTraces(10),
+		"scenario": scn.traces,
+		"trace":    traceGrid(nil).traces,
+	} {
+		if _, err := newTraceCache(src, []sweepJob{{benchmark: "nonesuch"}}); err == nil {
+			t.Errorf("%s source accepted an unknown workload", name)
+		}
+	}
+	dup := []workload.Scenario{workload.StressScenarios()[0], workload.StressScenarios()[0]}
+	if _, err := scenarioGrid("scenario", dup, 10); err == nil {
+		t.Error("duplicate scenario names accepted")
 	}
 }

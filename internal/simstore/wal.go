@@ -1,9 +1,10 @@
 // Package simstore is the durability layer of the simulation service: a
 // write-ahead log of job state transitions, persisted as JSONL in the same
-// spirit as the sweep engine's checkpoint files (internal/experiments) and
-// the server's result cache (internal/simserver). Every record is fsynced on
-// append, so a SIGKILLed nosq-server replays the log on restart and rebuilds
-// its queue, job registry and per-client accounting without losing a job.
+// spirit as the result store (experiments.ResultFile) that backs both
+// nosq-experiments -checkpoint and the server's result cache. Every record
+// is fsynced on append, so a SIGKILLed nosq-server replays the log on
+// restart and rebuilds its queue, job registry and per-client accounting
+// without losing a job.
 //
 // The log is the job-level truth; the pair-level truth is the result cache.
 // Replay re-queues every job that was not terminal at the crash, and the

@@ -271,7 +271,8 @@ func ValidateShards(shards, index int) error {
 // runSweep is the sweep engine behind every experiment: it runs each
 // (benchmark, configuration) pair through the simulator, by default on the
 // local worker pool (localExecutor), loading each benchmark's trace once
-// from opts.traces (default: the generated Table 5 profile). Locally executed pairs of the same benchmark and window geometry run
+// from opts.traces (default: the generated Table 5 profile). Locally
+// executed pairs of the same benchmark and window geometry run
 // config-parallel — one batch simulation over the benchmark's shared trace
 // (see pipeline.Batch and planGroups); a pair's measurements do not depend on
 // its group, so grouping is invisible in every output.
